@@ -9,8 +9,10 @@ coordinate y of the minimizer satisfies the quartic
 The radical solution goes through intermediates s and t; s is negative for
 valid inputs (casus irreducibilis), so the assembly must run in complex
 arithmetic with principal branches and only cancels to a real value at the
-very end.  A quartic-solver fallback guards against cancellation loss at
-extreme weight ratios.
+very end.  Every power of b1^2 - b4^2 is kept factored as (b1 - b4)(b1 + b4),
+and two Newton steps on the unsquared stationarity equation, evaluated
+without cancellation, take the radical value to full precision for every
+weight ratio.  Everything here is scalar arithmetic on the axis.
 """
 
 from __future__ import annotations
@@ -19,17 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .equilibrium import classify, equilibrium_residual
-from .errors import BranchCancellationFailure, EqualWeights
-from .geom_core import (
-    FtSolution,
-    SymmetricInstance,
-    axial_distances,
-    axis_point,
-    embed_regular,
-    objective,
-)
-from .quartic import QuarticCoefficients, real_roots
+from .errors import EqualWeights
+from .geom_core import FtSolution, SymmetricInstance, axial_distances
+from .quartic import QuarticCoefficients
 
 __all__ = [
     "RadicalIntermediates",
@@ -40,8 +34,7 @@ __all__ = [
     "solve_symmetric",
 ]
 
-EQUAL_WEIGHTS_RTOL = 1e-12
-IMAG_DEFECT_RTOL = 1e-9
+NEWTON_STEPS = 2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -59,11 +52,6 @@ def quartic_coefficients(inst: SymmetricInstance) -> QuarticCoefficients:
         c1=-8.0 * SQRT2 * a**3 * (b1 * b1 + b4 * b4),
         c0=3.0 * a**4 * (b1 * b1 - b4 * b4),
     )
-
-
-def _check_unequal(inst: SymmetricInstance):
-    if abs(inst.b1 - inst.b4) < EQUAL_WEIGHTS_RTOL * (inst.b1 + inst.b4):
-        raise EqualWeights("b1 and b4 coincide; the quartic degenerates")
 
 
 @dataclass(frozen=True)
@@ -94,29 +82,25 @@ def _s_value(a: float, b1: float, b4: float) -> float:
     """
     p2, q2 = b1 * b1, b4 * b4
     w = (p2 + q2) ** 2 + 2.0 * SQRT2 * math.sqrt(p2 * q2 * (p2 * p2 + q2 * q2))
-    return -(a**6) * (p2 - q2) ** 8 / w
+    return -(a**6) * ((b1 - b4) * (b1 + b4)) ** 8 / w
 
 
 def _assemble(a: float, b1: float, b4: float) -> tuple[complex, complex, float, complex]:
     """Both axial roots (interior, exterior) from the radical formulas.
 
     Returns (y_interior, y_exterior, s, t).  All intermediate square and
-    cube roots are principal complex branches.
+    cube roots are principal complex branches.  The printed b1^4 - 2 b1^2
+    b4^2 + b4^4 is kept as d^2, d = (b1 - b4)(b1 + b4): expanded, it
+    cancels to zero near b1 = b4.
     """
     s = _s_value(a, b1, b4)
     s_cbrt = complex(s) ** (1.0 / 3.0)
-    denom = 4.0 * (b1**4 - 2.0 * b1**2 * b4**2 + b4**4)
-    a4 = a**4
-    u = a4 * b1**4 / (4.0 * s_cbrt) - a4 * b1**2 * b4**2 / (2.0 * s_cbrt) + a4 * b4**4 / (
-        4.0 * s_cbrt
-    )
+    d = (b1 - b4) * (b1 + b4)
+    denom = 4.0 * d * d
+    u = a**4 * d * d / (4.0 * s_cbrt)
     t = -u - s_cbrt / denom
     sqrt_t = cmath.sqrt(t)
-    frac = (
-        2.0
-        * (-8.0 * SQRT2 * a**3 * b1**2 - 8.0 * SQRT2 * a**3 * b4**2)
-        / (sqrt_t * (64.0 * b1**2 - 64.0 * b4**2))
-    )
+    frac = -SQRT2 * a**3 * (b1 * b1 + b4 * b4) / (4.0 * d * sqrt_t)
     base = u + s_cbrt / denom
     y_int = -sqrt_t / 2.0 + cmath.sqrt(base + frac) / 2.0
     y_ext = sqrt_t / 2.0 + cmath.sqrt(base - frac) / 2.0
@@ -125,7 +109,8 @@ def _assemble(a: float, b1: float, b4: float) -> tuple[complex, complex, float, 
 
 def radical_intermediates(inst: SymmetricInstance) -> RadicalIntermediates:
     """Evaluate s, t and the imaginary defect of the assembled roots."""
-    _check_unequal(inst)
+    if inst.b1 == inst.b4:
+        raise EqualWeights("b1 and b4 are equal; the quartic degenerates")
     y_int, y_ext, s, t = _assemble(inst.a, inst.b1, inst.b4)
     defect = max(abs(y_int.imag), abs(y_ext.imag))
     return RadicalIntermediates(
@@ -133,80 +118,85 @@ def radical_intermediates(inst: SymmetricInstance) -> RadicalIntermediates:
     )
 
 
-def _fallback_roots(inst: SymmetricInstance) -> tuple[float, float]:
-    """Interior/exterior roots via the quartic solver plus the unsquared
-    stationarity sign tests (squaring introduced extraneous roots)."""
-    roots = real_roots(quartic_coefficients(inst)).with_multiplicity()
-    c = inst.c
-    interior = [y for y in roots if 0.0 < y < c]
-    exterior = [y for y in roots if y > c]
+def _stationarity(a: float, b1: float, b4: float, y: float, exterior: bool) -> tuple[float, float]:
+    """f(y) = b1 (y-c)/a01 + sign * b4 (y+c)/a04 and f'(y), sign = -1 for
+    the exterior (signed-weight) equation.
 
-    def _min_defect(ys, sign4):
-        best, best_d = None, math.inf
-        for y in ys:
-            a01, a04 = axial_distances(inst.a, y)
-            d = abs(inst.b1 * (y - c) / a01 + sign4 * inst.b4 * (y + c) / a04)
-            if d < best_d:
-                best, best_d = y, d
-        return best
+    Both terms of the plain f are of the weights' size and nearly cancel
+    at a root when b1 ~ b4.  Splitting b1 = (b1 - b4) + b4 and rationalizing
+    (y-c)/a01 +- (y+c)/a04 leaves two terms that are each accurate, valid
+    for either order of the weights.
+    """
+    c = a * SQRT2 / 4.0
+    h = a * a / 4.0
+    a01, a04 = math.hypot(a / 2.0, c - y), math.hypot(a / 2.0, c + y)
+    lead = (b1 - b4) * (y - c) / a01
+    if exterior:
+        f = lead - b4 * 4.0 * h * c * y / (a01 * a04 * ((c + y) * a01 + (y - c) * a04))
+        return f, h * (b1 / a01**3 - b4 / a04**3)
+    f = lead + b4 * 4.0 * h * c * y / (a01 * a04 * ((c + y) * a01 + (c - y) * a04))
+    return f, h * (b1 / a01**3 + b4 / a04**3)
 
-    y_int = _min_defect(interior, +1)
-    y_ext = _min_defect(exterior, -1)
-    if y_int is None or y_ext is None:
-        raise BranchCancellationFailure("quartic fallback found no admissible root")
-    return y_int, y_ext
+
+def _axial_root(inst: SymmetricInstance, exterior: bool) -> float | None:
+    """Interior or exterior root, None for equal weights: the radical value
+    finished by NEWTON_STEPS Newton steps on the unsquared equation.
+
+    Solved for the heavier pair on +z and mirrored.  The root is a times the
+    root at a = 1 and depends on the weights only through their ratio, so
+    it is solved at a = 1 with the heavier weight scaled into [0.5, 1) by a
+    power of two (exact, so b1 - b4 stays exact): s grows like a^6 b^16.
+    """
+    if inst.b1 == inst.b4:
+        return None
+    heavy, light, sign = (inst.b1, inst.b4, 1.0) if inst.b1 > inst.b4 else (inst.b4, inst.b1, -1.0)
+    b1, exp = math.frexp(heavy)
+    b4 = math.ldexp(light, -exp)
+    y_int, y_ext, _, _ = _assemble(1.0, b1, b4)
+    y = (y_ext if exterior else y_int).real
+    for _ in range(NEWTON_STEPS):
+        f, df = _stationarity(1.0, b1, b4, y, exterior)
+        y -= f / df
+    return sign * inst.a * y
 
 
 def ft_axial(inst: SymmetricInstance) -> float:
     """Axial coordinate of the minimizer.
 
     Positive toward the heavier pair's edge; 0 for equal weights; the
-    b1 < b4 case mirrors by swapping the pairs.
+    b1 < b4 case mirrors by swapping the pairs.  Full precision for every
+    b1 != b4, down to b1/b4 = 1 + 2^-52.
     """
-    if abs(inst.b1 - inst.b4) < EQUAL_WEIGHTS_RTOL * (inst.b1 + inst.b4):
-        return 0.0
-    if inst.b1 < inst.b4:
-        return -ft_axial(SymmetricInstance(inst.a, inst.b4, inst.b1))
-    y_int, _, _, _ = _assemble(inst.a, inst.b1, inst.b4)
-    if abs(y_int.imag) > IMAG_DEFECT_RTOL * inst.a:
-        return _fallback_roots(inst)[0]
-    return y_int.real
+    y = _axial_root(inst, exterior=False)
+    return 0.0 if y is None else y
 
 
 def complementary_axial(inst: SymmetricInstance) -> float:
     """Axial coordinate of the signed-weight critical point (one pair's sign
     flipped, |b1| > |b4|); lies strictly beyond c = a*sqrt(2)/4."""
-    _check_unequal(inst)
-    if inst.b1 < inst.b4:
-        return -complementary_axial(SymmetricInstance(inst.a, inst.b4, inst.b1))
-    _, y_ext, _, _ = _assemble(inst.a, inst.b1, inst.b4)
-    if abs(y_ext.imag) > IMAG_DEFECT_RTOL * inst.a:
-        return _fallback_roots(inst)[1]
-    return y_ext.real
+    y = _axial_root(inst, exterior=True)
+    if y is None:
+        raise EqualWeights("b1 and b4 are equal; the exterior critical point escapes")
+    return y
 
 
 def solve_symmetric(inst: SymmetricInstance) -> FtSolution:
-    """Full solve of the two-pairs instance: classification, location,
-    objective and equilibrium defect."""
-    emb = embed_regular(inst.a)
-    tet = inst.tetrahedron()
-    label = classify(tet)
-    if not label.floating:
-        vtx = tet.vertices[label.vertex]
-        return FtSolution(
-            case="absorbed",
-            point=vtx,
-            objective=objective(tet.vertices, tet.weights, vtx),
-            residual=float("nan"),
-            y=None,
-            vertex=label.vertex,
-        )
+    """Full solve of the two-pairs instance: location, objective and
+    equilibrium defect, all on the axis.
+
+    The minimizer always floats: the margin at a b1 vertex is
+    sqrt(b1^2 + 2 b1 b4 + 3 b4^2) - b1 > 0, and its mirror at a b4 vertex.
+    By symmetry the weighted unit-vector sum at (0, 0, y) points along the
+    axis with length 2 |f(y)|.  f does not change when a and y scale
+    together, so it is evaluated at a = 1, where its a^3 terms stay in range.
+    """
     y = ft_axial(inst)
-    point = axis_point(emb, y)
+    a01, a04 = axial_distances(inst.a, y)
+    f, _ = _stationarity(1.0, inst.b1, inst.b4, y / inst.a, exterior=False)
     return FtSolution(
         case="floating",
-        point=point,
-        objective=objective(tet.vertices, tet.weights, point),
-        residual=equilibrium_residual(tet, point),
+        point=(0.0, 0.0, y),
+        objective=2.0 * (inst.b1 * a01 + inst.b4 * a04),
+        residual=2.0 * abs(f),
         y=y,
     )

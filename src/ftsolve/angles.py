@@ -1,11 +1,14 @@
 """Vertex angles subtended at the axial minimizer.
 
-Cosine-law formulas in terms of the edge length a and the axial coordinate
-y.  By symmetry there are three distinct values: the angle under edge A1A2,
-the angle under edge A3A4, and the common cross angle between the pairs.
+Closed forms in terms of the edge length a and the axial coordinate y.  By
+symmetry there are three distinct values: the angle under edge A1A2, the
+angle under edge A3A4, and the common cross angle between the pairs.
 
-The cross-angle numerator uses (c - y)^2 + (c + y)^2; a naive duplication of
-the (c - y)^2 term fails the direct vector-angle check for y != 0.
+Each angle comes from atan2, which keeps full precision where a cosine
+sits near -1 or 1 (y near the edge midpoints at +-c): the angle under A1A2
+is twice the half-angle atan2(a/2, c - y), and the cross angle is atan2 of
+the cross product (a/2) sqrt(2) hypot(a/2, y) and the dot product
+y^2 - c^2 of the two vectors from the point to the vertices.
 """
 
 from __future__ import annotations
@@ -32,12 +35,9 @@ def angles_at(a: float, y: float) -> AngleSet:
     if not (a > 0):
         raise NonPositiveEdge(f"edge length must be positive, got {a}")
     c = a * math.sqrt(2.0) / 4.0
-    a01_sq = (a / 2.0) ** 2 + (c - y) ** 2
-    a04_sq = (a / 2.0) ** 2 + (c + y) ** 2
-    alpha_102 = math.acos(max(-1.0, 1.0 - a * a / (2.0 * a01_sq)))
-    alpha_304 = math.acos(max(-1.0, 1.0 - a * a / (2.0 * a04_sq)))
-    cos_cross = ((c - y) ** 2 + (c + y) ** 2 - a * a / 2.0) / (
-        2.0 * math.sqrt(a01_sq * a04_sq)
+    half = a / 2.0
+    return AngleSet(
+        alpha_102=2.0 * math.atan2(half, c - y),
+        alpha_304=2.0 * math.atan2(half, c + y),
+        alpha_cross=math.atan2(half * math.sqrt(2.0) * math.hypot(half, y), (y - c) * (y + c)),
     )
-    alpha_cross = math.acos(min(1.0, max(-1.0, cos_cross)))
-    return AngleSet(alpha_102=alpha_102, alpha_304=alpha_304, alpha_cross=alpha_cross)

@@ -217,14 +217,13 @@ def cmd_sweep(args) -> int:
     sys.stdout.write("ratio,y,y_complementary,objective,alpha102,alpha304,alpha_cross\n")
     for r in ratios:
         row = SymmetricInstance(inst.a, r * inst.b4, inst.b4)
-        y = ft_axial(row)
+        sol = solve_symmetric(row)
         try:
             yp = complementary_axial(row)
         except FtSolveError:
             yp = float("nan")
-        sol = solve_symmetric(row)
-        aset = angles_at(row.a, y)
-        cells = [r, y, yp, sol.objective, aset.alpha_102, aset.alpha_304, aset.alpha_cross]
+        aset = angles_at(row.a, sol.y)
+        cells = [r, sol.y, yp, sol.objective, aset.alpha_102, aset.alpha_304, aset.alpha_cross]
         sys.stdout.write(",".join(fmt(float(v)) for v in cells) + "\n")
     return 0
 
@@ -290,7 +289,9 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except FtSolveError as e:
+    except (FtSolveError, ArithmeticError) as e:
+        # an arithmetic fault is a solver failure on valid input, not a
+        # traceback
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -215,3 +215,29 @@ def test_entry_point_runs(capsys, symmetric_file):
     )
     assert proc.returncode == 0
     assert "case=floating" in proc.stdout
+
+
+@pytest.mark.parametrize("sub", ["solve", "angles", "complementary"])
+@pytest.mark.parametrize("b1, b4", [(1.0 + 1e-9, 1.0), (1.0, 1.0 + 1e-9)])
+def test_near_equal_weights_solve(capsys, symmetric_file, sub, b1, b4):
+    # the expanded (b1^2 - b4^2)^2 rounded to zero here and the CLI exited
+    # 1 with a ZeroDivisionError traceback
+    code, out, err = run(capsys, [sub, "--input", symmetric_file(b1=b1, b4=b4), "--json"])
+    assert code == 0, err
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    y = payload.get("y", payload.get("y_complementary"))
+    assert math.isfinite(y) and (y > 0) == (b1 > b4)
+
+
+def test_arithmetic_error_is_a_solver_failure(capsys, symmetric_file, monkeypatch):
+    import ftsolve.cli
+
+    def overflow(inst):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(ftsolve.cli, "solve_symmetric", overflow)
+    code, out, err = run(capsys, ["solve", "--input", symmetric_file()])
+    assert code == 2
+    assert out == ""
+    assert err == "solver error: math range error\n"

@@ -1,0 +1,189 @@
+"""The two-pairs solution against an independent 50-digit mpmath oracle.
+
+The oracle shares no formula with ftsolve: the axial roots are roots of the
+unsquared stationarity equations
+
+    b1 (y - c)/a01 + b4 (y + c)/a04 = 0    (minimizer, |y| < c)
+    b1 (y - c)/a01 - b4 (y + c)/a04 = 0    (signed twin, beyond the heavier
+                                            pair's edge)
+
+found by bracketed Newton steps at 50 digits, and the objective and the
+angles come from the 3-D vectors to the four vertices.
+"""
+
+import math
+
+import pytest
+from mpmath import mp, mpf
+
+from ftsolve import (
+    SymmetricInstance,
+    WeightedTetrahedron,
+    angles_at,
+    classify,
+    complementary_axial,
+    equilibrium_residual,
+    solve_symmetric,
+)
+
+DPS = 50
+REL_TOL = 1e-9
+
+BAND = {f"1+1e-{k}": 1.0 + 10.0**-k for k in range(1, 11)}
+BROAD = {f"10^{x:g}": 10.0**x for x in [0.05] + [j / 4 for j in range(1, 49)]}
+RATIOS = {**BAND, **BROAD}
+EDGES = (1e-3, 1.0, 1e3)
+
+
+def _vertices(a):
+    c = a * mp.sqrt(2) / 4
+    return [(-a / 2, 0, c), (a / 2, 0, c), (0, -a / 2, -c), (0, a / 2, -c)]
+
+
+def _root(fn, lo, hi):
+    """Root of g between lo and hi, where fn(y) = (g(y), g'(y)) and
+    g(lo) < 0 < g(hi) (lo may lie above hi): Newton steps, bisecting
+    whenever a step leaves the bracket, until a step is below 1e-40
+    relative."""
+    x = (lo + hi) / 2
+    for _ in range(1000):
+        g, dg = fn(x)
+        if g > 0:
+            hi = x
+        else:
+            lo = x
+        nxt = x - g / dg
+        if abs(nxt - x) <= mpf(10) ** -40 * abs(x):
+            return nxt
+        x = nxt if min(lo, hi) < nxt < max(lo, hi) else (lo + hi) / 2
+    raise ArithmeticError("reference root did not converge")
+
+
+def _angle(u, v):
+    cross = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+    return mp.atan2(mp.sqrt(sum(x * x for x in cross)), sum(p * q for p, q in zip(u, v)))
+
+
+def reference(a, b1, b4):
+    """(y, y', objective, (alpha_102, alpha_304, alpha_cross)) at 50 digits
+    for unequal weights."""
+    with mp.workdps(DPS):
+        a, b1, b4 = mpf(a), mpf(b1), mpf(b4)
+        c = a * mp.sqrt(2) / 4
+        h = a * a / 4
+
+        def stationarity(sign):
+            def fn(y):
+                a01 = mp.sqrt(h + (y - c) ** 2)
+                a04 = mp.sqrt(h + (y + c) ** 2)
+                g = b1 * (y - c) / a01 + sign * b4 * (y + c) / a04
+                return g, h * (b1 / a01**3 + sign * b4 / a04**3)
+
+            return fn
+
+        y = _root(stationarity(+1), -c, c)
+        fn = stationarity(-1)
+        edge = c if b1 > b4 else -c
+        far = 2 * edge
+        while fn(far)[0] <= 0:
+            far *= 2
+        yp = _root(fn, edge, far)
+        vectors = [(vx, vy, vz - y) for vx, vy, vz in _vertices(a)]
+        weights = (b1, b1, b4, b4)
+        objective = sum(w * mp.sqrt(sum(x * x for x in v)) for w, v in zip(weights, vectors))
+        angles = (
+            _angle(vectors[0], vectors[1]),
+            _angle(vectors[2], vectors[3]),
+            _angle(vectors[0], vectors[2]),
+        )
+        return float(y), float(yp), float(objective), tuple(float(x) for x in angles)
+
+
+def relative_errors(a, b1, b4):
+    """Relative error of every output of the axis path against the oracle."""
+    y_ref, yp_ref, obj_ref, ang_ref = reference(a, b1, b4)
+    inst = SymmetricInstance(a=a, b1=b1, b4=b4)
+    sol = solve_symmetric(inst)
+    ang = angles_at(a, sol.y)
+    got = {
+        "y": (sol.y, y_ref),
+        "point": (sol.point[2], y_ref),
+        "y'": (complementary_axial(inst), yp_ref),
+        "objective": (sol.objective, obj_ref),
+        "alpha_102": (ang.alpha_102, ang_ref[0]),
+        "alpha_304": (ang.alpha_304, ang_ref[1]),
+        "alpha_cross": (ang.alpha_cross, ang_ref[2]),
+    }
+    return {name: abs(v - r) / abs(r) for name, (v, r) in got.items()}
+
+
+@pytest.mark.parametrize("ratio", RATIOS.values(), ids=RATIOS.keys())
+def test_axis_path_matches_50_digit_oracle(ratio):
+    for a in EDGES:
+        for b1, b4 in ((ratio, 1.0), (1.0, ratio)):
+            errors = relative_errors(a, b1, b4)
+            worst = max(errors, key=errors.get)
+            assert errors[worst] <= REL_TOL, (a, b1, b4, worst, errors[worst])
+
+
+def test_ratio_1_001_interior_root_to_full_precision():
+    # the expanded (b1^2 - b4^2)^2 cost 4e-7 relative on y here
+    errors = relative_errors(1.0, 1.001, 1.0)
+    assert errors["y"] <= 1e-13
+    assert max(errors.values()) <= REL_TOL
+
+
+def test_ratio_1_plus_1e_9_solves():
+    # the expanded (b1^2 - b4^2)^2 rounded to zero here: ZeroDivisionError
+    for b1, b4 in ((1.0 + 1e-9, 1.0), (1.0, 1.0 + 1e-9)):
+        errors = relative_errors(1.0, b1, b4)
+        assert max(errors.values()) <= REL_TOL
+
+
+@pytest.mark.parametrize("a, k", [(1.0, 1e-30), (1.0, 1e30), (1e-200, 1.0), (1e200, 1.0)])
+def test_scales_far_from_unit(a, k):
+    # y scales with a and depends on the weights only through their ratio;
+    # s grows like a^6 b^16 and left the float range at these scales
+    ref = SymmetricInstance(a=1.0, b1=2.5, b4=1.0)
+    inst = SymmetricInstance(a=a, b1=2.5 * k, b4=k)
+    sol = solve_symmetric(inst)
+    assert sol.y / a == pytest.approx(solve_symmetric(ref).y, rel=1e-14)
+    assert complementary_axial(inst) / a == pytest.approx(complementary_axial(ref), rel=1e-14)
+    assert sol.residual <= 1e-13 * (inst.b1 + inst.b4)
+
+
+@pytest.mark.parametrize("ratio", [1.0 + 1e-10, 1.001, 2.5, 1e4, 1e12])
+def test_margin_identity_keeps_every_vertex_floating(ratio):
+    # the pull at a b1 vertex has squared norm b1^2 + 2 b1 b4 + 3 b4^2 (unit
+    # edge vectors meet at 60 degrees), so its margin
+    # sqrt(b1^2 + 2 b1 b4 + 3 b4^2) - b1 = b4 (2 b1 + 3 b4)/(sqrt(...) + b1)
+    # is positive for any positive weights; the same holds mirrored at the
+    # b4 vertices.  solve_symmetric therefore has no absorbed case.
+    for b1, b4 in ((ratio, 1.0), (1.0, ratio)):
+        label = classify(SymmetricInstance(a=1.0, b1=b1, b4=b4).tetrahedron())
+        assert label.floating
+        for heavy, light, i in ((b1, b4, 0), (b4, b1, 2)):
+            root = math.sqrt(heavy**2 + 2 * heavy * light + 3 * light**2)
+            margin = light * (2 * heavy + 3 * light) / (root + heavy)
+            assert margin > 0
+            for j in (i, i + 1):
+                assert label.margins[j] == pytest.approx(margin, rel=1e-9, abs=1e-14 * (b1 + b4))
+
+
+@pytest.mark.parametrize("b1, b4", [(2.5, 1.0), (1.0, 2.5), (1.0 + 1e-9, 1.0), (1e7, 1.0)])
+def test_solve_stays_on_the_axis(monkeypatch, b1, b4):
+    inst = SymmetricInstance(a=1.0, b1=b1, b4=b4)
+    tet = inst.tetrahedron()
+
+    def no_tetrahedron(self):
+        raise AssertionError("the axis path built a tetrahedron")
+
+    monkeypatch.setattr(WeightedTetrahedron, "__post_init__", no_tetrahedron)
+    sol = solve_symmetric(inst)
+    monkeypatch.undo()
+    assert sol.case == "floating" and sol.vertex is None
+    assert list(sol.point[:2]) == [0.0, 0.0]
+    # the axial residual 2|f(y)| and the full 3-D norm both vanish to
+    # rounding at the root
+    assert sol.residual <= 1e-13 * (b1 + b4)
+    assert equilibrium_residual(tet, sol.point) <= 1e-13 * (b1 + b4)
