@@ -12,7 +12,6 @@ from ftsolve import (
     complementary_axial,
     ft_axial,
     quartic_coefficients,
-    real_roots,
     stationarity_defect,
 )
 
@@ -21,13 +20,12 @@ q = quartic_coefficients(inst)
 print("quartic coefficients (c4, c3, c2, c1, c0):")
 print(f"  {q.c4:.6f}, {q.c3:.1f}, {q.c2:.1f}, {q.c1:.6f}, {q.c0:.6f}")
 
-rr = real_roots(q)
-print("real roots:", [f"{r:.12f}" for r in rr.roots])
-
 y = ft_axial(inst)
 yp = complementary_axial(inst)
 print(f"interior minimizer   y  = {y:.12f}  (0 < y < c = {inst.c:.6f})")
 print(f"exterior critical    y' = {yp:.12f}  (y' > c)")
+for name, r in (("y ", y), ("y'", yp)):
+    print(f"quartic residual at {name}: {q.c4 * r**4 + q.c1 * r + q.c0:.1e}")
 print(f"signed stationarity defect at y': {stationarity_defect(inst, yp):.3e}")
 
 print()

@@ -9,6 +9,7 @@ numerical oracles for cross-validation.
 __version__ = "0.1.0"
 
 from .analytic import (
+    QuarticCoefficients,
     RadicalIntermediates,
     complementary_axial,
     ft_axial,
@@ -19,7 +20,6 @@ from .analytic import (
 from .angles import AngleSet, angles_at
 from .equilibrium import CaseLabel, classify, equilibrium_residual
 from .errors import (
-    BranchCancellationFailure,
     CoincidentPoints,
     DegenerateTetrahedron,
     DegenerateTriangle,
@@ -30,7 +30,6 @@ from .errors import (
     NoConvergence,
     NonPositiveEdge,
     OutOfDomain,
-    ZeroPolynomial,
 )
 from .geom_core import (
     FtSolution,
@@ -64,4 +63,3 @@ from .plasticity import (
     verify_invariance,
     vertex_angle,
 )
-from .quartic import QuarticCoefficients, RealRoots, real_roots

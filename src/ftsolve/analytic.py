@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from .errors import EqualWeights
 from .geom_core import FtSolution, SymmetricInstance, axial_distances
-from .quartic import QuarticCoefficients
 
 __all__ = [
+    "QuarticCoefficients",
     "RadicalIntermediates",
     "quartic_coefficients",
     "radical_intermediates",
@@ -39,18 +39,31 @@ NEWTON_STEPS = 2
 SQRT2 = math.sqrt(2.0)
 
 
+@dataclass(frozen=True)
+class QuarticCoefficients:
+    """c4*y^4 + c3*y^3 + c2*y^2 + c1*y + c0."""
+
+    c4: float
+    c3: float
+    c2: float
+    c1: float
+    c0: float
+
+
 def quartic_coefficients(inst: SymmetricInstance) -> QuarticCoefficients:
     """Coefficients of the axial stationarity quartic.
 
     Degenerates to linear (c4 = c0 = 0, forced root y = 0) when b1 = b4.
+    b1^2 - b4^2 is kept factored: expanded, it cancels near b1 = b4.
     """
     a, b1, b4 = inst.a, inst.b1, inst.b4
+    d = (b1 - b4) * (b1 + b4)
     return QuarticCoefficients(
-        c4=64.0 * (b1 * b1 - b4 * b4),
+        c4=64.0 * d,
         c3=0.0,
         c2=0.0,
         c1=-8.0 * SQRT2 * a**3 * (b1 * b1 + b4 * b4),
-        c0=3.0 * a**4 * (b1 * b1 - b4 * b4),
+        c0=3.0 * a**4 * d,
     )
 
 

@@ -33,7 +33,6 @@ from .plasticity import (
     stretch,
     verify_invariance,
 )
-from .quartic import real_roots
 
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
@@ -165,11 +164,17 @@ def cmd_complementary(args) -> int:
 def cmd_quartic(args) -> int:
     inst = require_symmetric(*load_instance(args.input))
     q = quartic_coefficients(inst)
-    rr = real_roots(q)
+    if inst.b1 == inst.b4:
+        # the quartic is linear, c1*y = 0
+        roots = [0.0]
+    else:
+        # its two real roots, always distinct: the minimizer (|y| < c) and
+        # the signed-weight critical point (|y| > c)
+        roots = sorted((ft_axial(inst), complementary_axial(inst)))
     payload = {
         "coefficients": [q.c4, q.c3, q.c2, q.c1, q.c0],
-        "roots": [float(r) for r in rr.roots],
-        "multiplicities": list(rr.multiplicities),
+        "roots": roots,
+        "multiplicities": [1] * len(roots),
     }
     emit(payload, args.json)
     return 0

@@ -21,14 +21,6 @@ class EqualWeights(FtSolveError):
     """The two weight pairs are equal; the quartic degenerates."""
 
 
-class BranchCancellationFailure(FtSolveError):
-    """Complex branches of the closed form failed to cancel to a real value."""
-
-
-class ZeroPolynomial(FtSolveError):
-    """All polynomial coefficients are zero."""
-
-
 class NoConvergence(FtSolveError):
     """Iteration cap exhausted before the residual threshold was met."""
 

@@ -11,6 +11,7 @@ found by bracketed Newton steps at 50 digits, and the objective and the
 angles come from the 3-D vectors to the four vertices.
 """
 
+import json
 import math
 
 import pytest
@@ -25,6 +26,7 @@ from ftsolve import (
     equilibrium_residual,
     solve_symmetric,
 )
+from ftsolve.cli import main
 
 DPS = 50
 REL_TOL = 1e-9
@@ -187,3 +189,29 @@ def test_solve_stays_on_the_axis(monkeypatch, b1, b4):
     # rounding at the root
     assert sol.residual <= 1e-13 * (b1 + b4)
     assert equilibrium_residual(tet, sol.point) <= 1e-13 * (b1 + b4)
+
+
+@pytest.mark.parametrize("ratio", [1e7, 1e-7, 1.0 + 1e-8, 2.5, 0.5, 1.0])
+def test_quartic_subcommand_prints_both_roots(tmp_path, capsys, ratio):
+    # a general quartic solver merged the two roots into one double root at
+    # 1e7 and 1e-7, and lost 5e-9 relative at 1 + 1e-8
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"mode": "symmetric-regular", "a": 1.0, "b1": ratio, "b4": 1.0}))
+    assert main(["quartic", "--input", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    with mp.workdps(DPS):
+        # exact products of the float inputs; b1*b1 - b4*b4 in floats lost
+        # 5e-9 relative on c4 and c0 at 1 + 1e-8
+        d, s = (mpf(ratio) - 1) * (mpf(ratio) + 1), mpf(ratio) ** 2 + 1
+        coefficients = [64 * d, 0, 0, -8 * mp.sqrt(2) * s, 3 * d]
+    for got, ref in zip(payload["coefficients"], coefficients):
+        assert abs(got - ref) <= REL_TOL * abs(ref)
+    if ratio == 1.0:
+        # equal weights: the quartic is linear, c1*y = 0
+        assert payload["roots"] == [0.0] and payload["multiplicities"] == [1]
+        return
+    y_ref, yp_ref, _, _ = reference(1.0, ratio, 1.0)
+    assert payload["multiplicities"] == [1, 1]
+    assert len(payload["roots"]) == 2
+    for got, ref in zip(payload["roots"], sorted((y_ref, yp_ref))):
+        assert abs(got - ref) <= REL_TOL * abs(ref)
