@@ -23,7 +23,7 @@ from ftsolve import (
 
 inst = SymmetricInstance(a=1.0, b1=2.5, b4=1.0)
 sol = solve_symmetric(inst)
-print(f"base minimizer: {np.array2string(sol.point, precision=10)}")
+print(f"base minimizer: {sol.point}")
 
 lambdas = np.array([1.3, 0.8, 2.0, 1.5])
 pinst = PlasticityInstance(inst.tetrahedron(), sol.point, lambdas)
@@ -38,8 +38,7 @@ print(f"minimizer displacement after re-solving: {moved:.3e}")
 # predict the distance to the stretched fourth vertex from measurements
 v = stretched.vertices
 d = measure_dihedral_data(sol.point, v[0], v[1], v[2], v[3])
-a01 = float(np.linalg.norm(sol.point - v[0]))
-h = height_012(a01, d.a02, d.a12)
+h = height_012(d.a01, d.a02, d.a12)
 alpha = dihedral_alpha(d, h)
 predicted = predict_a04p(d, h, alpha)
 direct = float(np.linalg.norm(sol.point - v[3]))

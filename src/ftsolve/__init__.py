@@ -33,18 +33,13 @@ from .errors import (
 )
 from .geom_core import (
     FtSolution,
-    RegularEmbedding,
     SymmetricInstance,
     WeightedTetrahedron,
-    axial_coordinate,
     axial_distances,
-    axis_point,
     embed_regular,
     objective,
-    unit_vector,
 )
 from .numeric import (
-    SolverConfig,
     minimize_reduced,
     reduced_objective,
     signed_critical_point,

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import EqualWeights
+from .errors import EqualWeights, FtSolveError
 from .geom_core import FtSolution, SymmetricInstance, axial_distances
 
 __all__ = [
@@ -55,16 +55,27 @@ def quartic_coefficients(inst: SymmetricInstance) -> QuarticCoefficients:
 
     Degenerates to linear (c4 = c0 = 0, forced root y = 0) when b1 = b4.
     b1^2 - b4^2 is kept factored: expanded, it cancels near b1 = b4.
+    Raises FtSolveError when a coefficient does not fit in a float.
     """
     a, b1, b4 = inst.a, inst.b1, inst.b4
     d = (b1 - b4) * (b1 + b4)
-    return QuarticCoefficients(
+    try:
+        a3, a4 = a**3, a**4
+    except OverflowError:  # float ** raises where float * returns inf
+        a3 = a4 = math.inf
+    q = QuarticCoefficients(
         c4=64.0 * d,
         c3=0.0,
         c2=0.0,
-        c1=-8.0 * SQRT2 * a**3 * (b1 * b1 + b4 * b4),
-        c0=3.0 * a**4 * d,
+        c1=-8.0 * SQRT2 * a3 * (b1 * b1 + b4 * b4),
+        c0=3.0 * a4 * d,
     )
+    if not all(map(math.isfinite, (q.c4, q.c1, q.c0))):
+        raise FtSolveError(
+            f"quartic coefficients are not representable as floats: "
+            f"c4={q.c4}, c1={q.c1}, c0={q.c0}"
+        )
+    return q
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .angles import angles_at
 from .equilibrium import classify
 from .errors import FtSolveError
 from .geom_core import SymmetricInstance, WeightedTetrahedron
-from .numeric import SolverConfig, stationarity_defect, weiszfeld
+from .numeric import stationarity_defect, weiszfeld
 from .plasticity import (
     PlasticityInstance,
     dihedral_alpha,
@@ -102,14 +102,16 @@ def emit(payload: dict, as_json: bool):
 
 
 def cmd_solve(args) -> int:
+    if not (args.tol > 0):
+        raise InputError("--tol must be positive")
     mode, inst = load_instance(args.input)
     if mode == "symmetric-regular":
         sol = solve_symmetric(inst)
     else:
-        sol = weiszfeld(inst, SolverConfig(tol=args.tol))
+        sol = weiszfeld(inst, args.tol)
     payload = {
         "case": sol.case,
-        "point": [float(v) for v in sol.point],
+        "point": list(sol.point),
         "objective": sol.objective,
         "residual": sol.residual,
     }
@@ -195,11 +197,7 @@ def cmd_plasticity(args) -> int:
     stretched = stretch(pinst)
     v = stretched.vertices
     d = measure_dihedral_data(sol.point, v[0], v[1], v[2], v[3])
-    h = height_012(
-        float(np.linalg.norm(sol.point - v[0])),
-        d.a02,
-        d.a12,
-    )
+    h = height_012(d.a01, d.a02, d.a12)
     alpha = dihedral_alpha(d, h)
     predicted = predict_a04p(d, h, alpha)
     displacement = verify_invariance(pinst)
@@ -244,10 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--input", required=True, help="instance file (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--tol", type=float, default=1e-12, help="solver tolerance")
 
     p = sub.add_parser("solve", help="solve for the weighted minimizer")
     common(p)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-12,
+        help="Weiszfeld step tolerance, relative to the largest edge (general instances)",
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("classify", help="floating/absorbed classification")

@@ -33,19 +33,20 @@ class CaseLabel:
         return "floating" if self.floating else "absorbed"
 
 
+def _pulls(t: WeightedTetrahedron, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted unit-vector pulls sum_j w_j (A_j - x)/|A_j - x| at each point
+    of x (shape (..., 3)), summed in vertex order, with the distances
+    |A_j - x|; a vertex at distance zero adds nothing."""
+    diff = t.vertices - x[..., None, :]
+    norm = np.linalg.norm(diff, axis=-1)
+    pull = t.weights[:, None] * diff / np.where(norm == 0.0, 1.0, norm)[..., None]
+    return pull.sum(axis=-2), norm
+
+
 def classify(t: WeightedTetrahedron) -> CaseLabel:
     """Classify the minimizer as floating or absorbed at some vertex."""
-    v = t.vertices
-    w = t.weights
-    margins = np.empty(4)
-    for i in range(4):
-        pull = np.zeros(3)
-        for j in range(4):
-            if j == i:
-                continue
-            diff = v[j] - v[i]
-            pull += w[j] * diff / np.linalg.norm(diff)
-        margins[i] = np.linalg.norm(pull) - w[i]
+    pull, _ = _pulls(t, t.vertices)
+    margins = np.linalg.norm(pull, axis=1) - t.weights
     absorbed = np.flatnonzero(margins <= 0.0)
     if absorbed.size == 0:
         return CaseLabel(floating=True, vertex=None, margins=margins)
@@ -56,13 +57,7 @@ def classify(t: WeightedTetrahedron) -> CaseLabel:
 def equilibrium_residual(t: WeightedTetrahedron, x) -> float:
     """Norm of the weighted unit-vector sum at x; zero exactly at a floating
     minimizer."""
-    x = as_point(x)
-    a = t.max_edge()
-    total = np.zeros(3)
-    for vi, wi in zip(t.vertices, t.weights):
-        diff = vi - x
-        norm = np.linalg.norm(diff)
-        if norm <= 1e-12 * a:
-            raise CoincidentPoints("x coincides with a vertex; residual undefined")
-        total += wi * diff / norm
-    return float(np.linalg.norm(total))
+    pull, norm = _pulls(t, as_point(x))
+    if norm.min() <= 1e-12 * t.max_edge():
+        raise CoincidentPoints("x coincides with a vertex; residual undefined")
+    return float(np.linalg.norm(pull))

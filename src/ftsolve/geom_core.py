@@ -1,36 +1,29 @@
 """Core geometric types, the regular-tetrahedron axial embedding, and the
 weighted distance-sum objective.
 
-Points are plain numpy arrays of shape (3,).  The canonical embedding places
-the symmetry axis of the two-pair-weights problem on +z, with the midpoint of
-the common perpendicular at the origin and the heavier pair's edge (A1A2) on
-the +z side.
+Points taken as input are anything numpy reads as a finite (3,) array;
+solutions hand their point back as a plain 3-tuple of floats.  The canonical
+embedding places the symmetry axis of the two-pair-weights problem on +z,
+with the midpoint of the common perpendicular at the origin and the heavier
+pair's edge (A1A2) on the +z side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoincidentPoints,
-    DegenerateTetrahedron,
-    NonPositiveEdge,
-)
+from .errors import DegenerateTetrahedron, NonPositiveEdge
 
 __all__ = [
     "WeightedTetrahedron",
     "SymmetricInstance",
-    "RegularEmbedding",
     "FtSolution",
     "as_point",
     "objective",
-    "unit_vector",
     "embed_regular",
-    "axis_point",
-    "axial_coordinate",
     "axial_distances",
 ]
 
@@ -74,9 +67,7 @@ class WeightedTetrahedron:
 
     def max_edge(self) -> float:
         v = self.vertices
-        return max(
-            float(np.linalg.norm(v[i] - v[j])) for i in range(4) for j in range(i + 1, 4)
-        )
+        return float(np.linalg.norm(v[:, None] - v, axis=2).max())
 
 
 @dataclass(frozen=True)
@@ -100,36 +91,19 @@ class SymmetricInstance:
         return self.a * math.sqrt(2.0) / 4.0
 
     def tetrahedron(self) -> WeightedTetrahedron:
-        emb = embed_regular(self.a)
         return WeightedTetrahedron(
-            emb.vertices, np.array([self.b1, self.b1, self.b4, self.b4])
+            embed_regular(self.a), np.array([self.b1, self.b1, self.b4, self.b4])
         )
 
 
-@dataclass(frozen=True)
-class RegularEmbedding:
-    """Canonical frame for a regular tetrahedron of edge ``a``.
-
-    The midpoints of edges A1A2 and A3A4 sit at +-c on the z axis,
-    c = a*sqrt(2)/4; O is the origin.
-    """
-
-    a: float
-    vertices: np.ndarray = field(repr=False)  # (4, 3)
-    origin: np.ndarray = field(repr=False)
-    axis: np.ndarray = field(repr=False)
-
-    @property
-    def c(self) -> float:
-        return self.a * math.sqrt(2.0) / 4.0
-
-
-def embed_regular(a: float) -> RegularEmbedding:
-    """Embed a regular tetrahedron of edge a in the canonical frame."""
+def embed_regular(a: float) -> np.ndarray:
+    """Vertices (4, 3) of a regular tetrahedron of edge a in the canonical
+    frame: the midpoints of edges A1A2 and A3A4 sit at +-c on the z axis,
+    c = a*sqrt(2)/4."""
     if not (a > 0):
         raise NonPositiveEdge(f"edge length must be positive, got {a}")
     c = a * math.sqrt(2.0) / 4.0
-    vertices = np.array(
+    return np.array(
         [
             [-a / 2.0, 0.0, c],
             [a / 2.0, 0.0, c],
@@ -137,19 +111,6 @@ def embed_regular(a: float) -> RegularEmbedding:
             [0.0, a / 2.0, -c],
         ]
     )
-    return RegularEmbedding(
-        a=a, vertices=vertices, origin=np.zeros(3), axis=np.array([0.0, 0.0, 1.0])
-    )
-
-
-def axis_point(emb: RegularEmbedding, y: float) -> np.ndarray:
-    """Point at signed axial coordinate y: O + y * axis."""
-    return emb.origin + y * emb.axis
-
-
-def axial_coordinate(emb: RegularEmbedding, p) -> float:
-    """Signed axial coordinate of a point (projection onto the axis)."""
-    return float(np.dot(as_point(p) - emb.origin, emb.axis))
 
 
 def axial_distances(a: float, y: float) -> tuple[float, float]:
@@ -179,18 +140,6 @@ def objective(points, weights, x) -> float:
     return float(np.dot(w, d))
 
 
-def unit_vector(p, q) -> np.ndarray:
-    """Unit vector from p to q."""
-    p = as_point(p)
-    q = as_point(q)
-    diff = q - p
-    norm = float(np.linalg.norm(diff))
-    scale = max(1.0, float(np.linalg.norm(p)), float(np.linalg.norm(q)))
-    if norm <= 1e-14 * scale:
-        raise CoincidentPoints("points too close to define a direction")
-    return diff / norm
-
-
 @dataclass
 class FtSolution:
     """Solution record: floating/absorbed label, location, axial coordinate
@@ -198,7 +147,7 @@ class FtSolution:
     equilibrium defect."""
 
     case: str  # "floating" | "absorbed"
-    point: np.ndarray
+    point: tuple[float, float, float]
     objective: float
     residual: float
     y: float | None = None
@@ -209,4 +158,3 @@ class FtSolution:
             raise ValueError(f"unknown case label {self.case!r}")
         if (self.case == "absorbed") != (self.vertex is not None):
             raise ValueError("vertex index must be set exactly for absorbed cases")
-        self.point = as_point(self.point)

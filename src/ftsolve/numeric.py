@@ -8,7 +8,6 @@ the signed stationarity equation for the exterior critical point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .geom_core import (
 )
 
 __all__ = [
-    "SolverConfig",
     "weiszfeld",
     "reduced_objective",
     "minimize_reduced",
@@ -33,48 +31,38 @@ __all__ = [
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iteration limits and proximity thresholds, relative to the instance
-    scale (max pairwise vertex distance)."""
-
-    tol: float = 1e-12
-    max_iter: int = 10_000
-    vertex_epsilon: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+# Weiszfeld's iteration cap, and how close (relative to the largest edge)
+# an iterate may come to a vertex before it is pushed back
+MAX_ITER = 10_000
+VERTEX_EPSILON = 1e-10
 
 
-def weiszfeld(t: WeightedTetrahedron, cfg: SolverConfig | None = None) -> FtSolution:
-    """Weighted geometric median by inverse-distance-weighted averaging.
+def weiszfeld(t: WeightedTetrahedron, tol: float = 1e-12) -> FtSolution:
+    """Weighted geometric median by inverse-distance-weighted averaging,
+    stopped once a step is shorter than tol times the largest edge.
 
     Absorbed instances short-circuit to the absorbing vertex.  Iterates
     landing on a vertex are pushed back along the previous step to dodge the
     fixed-point singularity there.
     """
-    if cfg is None:
-        cfg = SolverConfig()
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
     label = classify(t)
     if not label.floating:
         vtx = t.vertices[label.vertex]
         return FtSolution(
             case="absorbed",
-            point=vtx,
+            point=tuple(vtx.tolist()),
             objective=objective(t.vertices, t.weights, vtx),
             residual=float("nan"),
             vertex=label.vertex,
         )
     scale = t.max_edge()
-    eps = cfg.vertex_epsilon * scale
+    eps = VERTEX_EPSILON * scale
     total_w = float(np.sum(t.weights))
     x = np.average(t.vertices, axis=0, weights=t.weights)
     step_dir = np.zeros(3)
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         d = np.linalg.norm(t.vertices - x, axis=1)
         if np.any(d < eps):
             x = x - 10.0 * eps * step_dir if np.any(step_dir) else x + 10.0 * eps
@@ -86,16 +74,16 @@ def weiszfeld(t: WeightedTetrahedron, cfg: SolverConfig | None = None) -> FtSolu
         if step_len > 0:
             step_dir = step / step_len
         x = x_new
-        if step_len < cfg.tol * scale:
+        if step_len < tol * scale:
             break
     residual = equilibrium_residual(t, x)
     if residual > 1e-6 * total_w:
         raise NoConvergence(
-            f"residual {residual:.3e} above threshold after {cfg.max_iter} iterations"
+            f"residual {residual:.3e} above threshold after {MAX_ITER} iterations"
         )
     return FtSolution(
         case="floating",
-        point=x,
+        point=tuple(x.tolist()),
         objective=objective(t.vertices, t.weights, x),
         residual=residual,
     )

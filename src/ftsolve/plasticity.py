@@ -19,7 +19,7 @@ import numpy as np
 from .equilibrium import classify
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
 from .geom_core import WeightedTetrahedron, as_point
-from .numeric import SolverConfig, weiszfeld
+from .numeric import weiszfeld
 
 __all__ = [
     "PlasticityInstance",
@@ -65,6 +65,7 @@ class DihedralData:
     A4'A1A2 along edge A1A2.
     """
 
+    a01: float
     a02: float
     a03: float
     a23: float
@@ -91,6 +92,12 @@ def _clamped_acos(arg: float) -> float:
     return math.acos(min(1.0, max(-1.0, arg)))
 
 
+def _foot(d: DihedralData) -> float:
+    """Signed distance from A2 toward A1 of the foot of the height from A0
+    onto line A1A2; negative once the foot lies beyond A2."""
+    return (d.a02**2 + d.a12**2 - d.a01**2) / (2.0 * d.a12)
+
+
 def dihedral_alpha(d: DihedralData, h: float) -> float:
     """Dihedral angle between planes A0A1A2 and A3A1A2 along edge A1A2."""
     if h <= 0:
@@ -98,12 +105,9 @@ def dihedral_alpha(d: DihedralData, h: float) -> float:
     sin123 = math.sin(d.alpha_123)
     if sin123 == 0.0:
         raise OutOfDomain("alpha_123 must not be 0 or pi")
-    foot = d.a02**2 - h * h
-    if foot < -CLAMP_SLACK * d.a02**2:
-        raise OutOfDomain("a02 smaller than the height")
     arg = (
         (d.a02**2 + d.a23**2 - d.a03**2) / (2.0 * d.a23)
-        - math.sqrt(max(0.0, foot)) * math.cos(d.alpha_123)
+        - _foot(d) * math.cos(d.alpha_123)
     ) / (h * sin123)
     return _clamped_acos(arg)
 
@@ -111,12 +115,9 @@ def dihedral_alpha(d: DihedralData, h: float) -> float:
 def predict_a04p(d: DihedralData, h: float, alpha: float) -> float:
     """Distance from A0 to the stretched vertex A4' by the generalized
     cosine law; collapses to the planar cosine law at h = 0."""
-    foot = d.a02**2 - h * h
-    if foot < -CLAMP_SLACK * d.a02**2:
-        raise OutOfDomain("a02 smaller than the height")
-    proj = math.sqrt(max(0.0, foot)) * math.cos(d.alpha_124p) + h * math.sin(
-        d.alpha_124p
-    ) * math.cos(d.alpha_g4p - alpha)
+    proj = _foot(d) * math.cos(d.alpha_124p) + h * math.sin(d.alpha_124p) * math.cos(
+        d.alpha_g4p - alpha
+    )
     radicand = d.a02**2 + d.a24p**2 - 2.0 * d.a24p * proj
     if radicand < 0:
         raise OutOfDomain("negative radicand; inconsistent inputs")
@@ -149,6 +150,7 @@ def measure_dihedral_data(a0, a1, a2, a3, a4p) -> DihedralData:
     configuration (normal-vector dihedral, direct distances)."""
     a0, a1, a2, a3, a4p = map(as_point, (a0, a1, a2, a3, a4p))
     return DihedralData(
+        a01=float(np.linalg.norm(a0 - a1)),
         a02=float(np.linalg.norm(a0 - a2)),
         a03=float(np.linalg.norm(a0 - a3)),
         a23=float(np.linalg.norm(a2 - a3)),
@@ -173,9 +175,8 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
     return stretched
 
 
-def verify_invariance(p: PlasticityInstance, cfg: SolverConfig | None = None) -> float:
+def verify_invariance(p: PlasticityInstance) -> float:
     """Re-solve the stretched tetrahedron numerically and report how far its
     minimizer moved from a0 (should be ~0)."""
-    stretched = stretch(p)
-    sol = weiszfeld(stretched, cfg)
-    return float(np.linalg.norm(sol.point - p.a0))
+    sol = weiszfeld(stretch(p))
+    return float(np.linalg.norm(np.subtract(sol.point, p.a0)))

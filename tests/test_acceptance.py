@@ -13,7 +13,6 @@ from ftsolve import (
     PlasticityInstance,
     SymmetricInstance,
     WeightedTetrahedron,
-    axial_coordinate,
     classify,
     complementary_axial,
     dihedral_alpha,
@@ -71,7 +70,7 @@ def test_criterion_2_equal_weight_angles():
     target = math.acos(-1.0 / 3.0)
     assert abs(target - 1.9106332362) < 1e-9
     sol = solve_symmetric(SymmetricInstance(a=1.0, b1=1.3, b4=1.3))
-    v = embed_regular(1.0).vertices
+    v = embed_regular(1.0)
     ok = True
     for i in range(4):
         for j in range(i + 1, 4):
@@ -92,12 +91,10 @@ def test_criterion_4_oracle_equivalence():
     t0 = time.perf_counter()
     ok = True
     instances = random_instances(500)
-    emb_cache = {}
     for inst in instances:
         y = ft_axial(inst)
-        emb = emb_cache.setdefault(inst.a, embed_regular(inst.a))
         sol = weiszfeld(inst.tetrahedron())
-        y_w = axial_coordinate(emb, sol.point)
+        y_w = sol.point[2]
         ok = ok and abs(y - y_w) < 1e-6 * inst.a
         ok = ok and abs(y - minimize_reduced(inst)) < 1e-7 * inst.a
         q = quartic_coefficients(inst)
@@ -163,7 +160,7 @@ def test_criterion_7_plasticity():
 
 def test_criterion_8_classification_boundary():
     eps = 1e-3
-    v = embed_regular(1.0).vertices
+    v = embed_regular(1.0)
     below = classify(WeightedTetrahedron(v, [1, 1, 1, math.sqrt(6) - eps]))
     above = classify(WeightedTetrahedron(v, [1, 1, 1, math.sqrt(6) + eps]))
     ok = below.floating and not above.floating and above.vertex == 3

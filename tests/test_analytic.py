@@ -5,6 +5,7 @@ import pytest
 
 from ftsolve import (
     EqualWeights,
+    FtSolveError,
     SymmetricInstance,
     complementary_axial,
     equilibrium_residual,
@@ -147,6 +148,12 @@ def test_complementary_grows_as_weights_equalize():
     assert values[0] < values[1] < values[2]
 
 
+@pytest.mark.parametrize("a, b1", [(1e200, 2.5), (1.0, 1e200)])
+def test_quartic_coefficients_out_of_float_range(a, b1):
+    with pytest.raises(FtSolveError, match="c4=.*c1=.*c0="):
+        quartic_coefficients(SymmetricInstance(a=a, b1=b1, b4=1.0))
+
+
 def test_solve_symmetric_reference():
     sol = solve_symmetric(REF)
     assert sol.case == "floating"
@@ -172,7 +179,7 @@ def test_solve_symmetric_mirrored_weights():
     assert sol.y < 0
     assert sol.y == pytest.approx(-ft_axial(SymmetricInstance(1.0, 5.0, 1.0)), rel=1e-12)
     num = weiszfeld(inst.tetrahedron())
-    assert np.linalg.norm(num.point - sol.point) < 1e-6
+    assert np.linalg.norm(np.subtract(num.point, sol.point)) < 1e-6
 
 
 def test_quartic_membership_random():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ftsolve import angles_at, axis_point, embed_regular, vertex_angle
+from ftsolve import angles_at, embed_regular, vertex_angle
 
 Y_REF = 0.1983575549931425
 TETRAHEDRAL_ANGLE = math.acos(-1.0 / 3.0)
@@ -41,9 +41,8 @@ def test_vector_oracle_agreement():
         a = rng.uniform(0.1, 10.0)
         c = a * math.sqrt(2.0) / 4.0
         y = rng.uniform(-0.99 * c, 0.99 * c)
-        emb = embed_regular(a)
-        x = axis_point(emb, y)
-        v = emb.vertices
+        v = embed_regular(a)
+        x = np.array([0.0, 0.0, y])
         aset = angles_at(a, y)
         assert abs(aset.alpha_102 - vertex_angle(x, v[0], v[1])) < 1e-10
         assert abs(aset.alpha_304 - vertex_angle(x, v[2], v[3])) < 1e-10
@@ -52,9 +51,8 @@ def test_vector_oracle_agreement():
 
 
 def test_all_six_angles_equal_for_symmetric_point():
-    emb = embed_regular(1.0)
-    x = axis_point(emb, 0.0)
-    v = emb.vertices
+    v = embed_regular(1.0)
+    x = np.array([0.0, 0.0, 0.0])
     for i in range(4):
         for j in range(i + 1, 4):
             assert vertex_angle(x, v[i], v[j]) == pytest.approx(

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from ftsolve import objective
+from ftsolve import SymmetricInstance, objective, solve_symmetric
 from ftsolve.cli import main
 
 NINE_SIG = re.compile(r"^-?(\d+(\.\d+)?|\d*\.\d+)(e[+-]?\d+)?$|^nan$")
@@ -61,8 +61,7 @@ def test_solve_json_round_trip(capsys, symmetric_file):
     # printed objective
     from ftsolve import embed_regular
 
-    emb = embed_regular(1.0)
-    val = objective(emb.vertices, [2.5, 2.5, 1.0, 1.0], payload["point"])
+    val = objective(embed_regular(1.0), [2.5, 2.5, 1.0, 1.0], payload["point"])
     assert val == pytest.approx(payload["objective"], rel=1e-9)
 
 
@@ -125,6 +124,62 @@ def test_plasticity(capsys, symmetric_file):
     payload = json.loads(out)
     assert payload["predicted_a04p"] == pytest.approx(2 * 0.744719, abs=2e-5)
     assert payload["displacement"] < 1e-6
+
+
+@pytest.mark.parametrize("ratio", [5.0, 25.0, 200.0])
+def test_plasticity_when_foot_lies_beyond_a2(capsys, symmetric_file, ratio):
+    # the foot of the height from A0 onto line A1'A2' lies beyond A2' here;
+    # taken unsigned, it put predicted_a04p off by 7 % at ratio 5 up to 34 %
+    # at 200
+    argv = ["plasticity", "--input", symmetric_file(b1=1.0, b4=ratio), "--lambda", "6,1,1,1"]
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    a0 = solve_symmetric(SymmetricInstance(a=1.0, b1=1.0, b4=ratio)).point
+    direct = math.dist(a0, payload["stretched_vertices"][3])
+    assert abs(payload["predicted_a04p"] - direct) <= 1e-9 * direct
+
+
+@pytest.mark.parametrize("a, b1", [(1e200, 2.5), (1.0, 1e200)])
+def test_quartic_coefficients_out_of_float_range(capsys, symmetric_file, a, b1):
+    # a**3 raised a bare OverflowError at a = 1e200, and b1 = 1e200 printed
+    # infinite coefficients with exit 0
+    path = symmetric_file(a=a, b1=b1, b4=1.0)
+    code, out, err = run(capsys, ["quartic", "--input", path])
+    assert code == 2 and out == ""
+    assert err.startswith("solver error: quartic coefficients are not representable")
+    assert "Traceback" not in err
+    code, out, err = run(capsys, ["solve", "--input", path, "--json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["case"] == "floating" and math.isfinite(payload["y"])
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "-1e-3"])
+def test_solve_rejects_nonpositive_tol(capsys, general_file, tol):
+    code, out, err = run(capsys, ["solve", "--input", general_file, f"--tol={tol}"])
+    assert code == 1 and out == ""
+    assert err == "error: --tol must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["angles"],
+        ["complementary"],
+        ["quartic"],
+        ["plasticity", "--lambda", "1,1,1,2"],
+        ["sweep", "--ratio-min", "1", "--ratio-max", "2", "--steps", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_solve_accepts_tol(capsys, symmetric_file, argv):
+    # the other subcommands once accepted --tol and ignored it
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", symmetric_file(), "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_sweep_single_step(capsys, symmetric_file):

@@ -6,7 +6,6 @@ import pytest
 from ftsolve import (
     CoincidentPoints,
     WeightedTetrahedron,
-    axis_point,
     classify,
     embed_regular,
     equilibrium_residual,
@@ -16,7 +15,7 @@ Y_REF = 0.1983575549931425
 
 
 def regular_tet(weights, a=1.0):
-    return WeightedTetrahedron(embed_regular(a).vertices, weights)
+    return WeightedTetrahedron(embed_regular(a), weights)
 
 
 def test_equal_weights_floating_margins():
@@ -44,7 +43,7 @@ def test_reference_instance_floating():
 def test_scale_invariance():
     w = np.array([2.0, 1.0, 1.5, 1.2])
     base = classify(regular_tet(w))
-    scaled_vertices = classify(WeightedTetrahedron(embed_regular(7.5).vertices, w))
+    scaled_vertices = classify(WeightedTetrahedron(embed_regular(7.5), w))
     assert base.floating == scaled_vertices.floating
     assert np.allclose(base.margins, scaled_vertices.margins, atol=1e-12)
     for k in (0.5, 4.0):
@@ -70,22 +69,19 @@ def test_boundary_tie_counts_as_absorbed():
 
 def test_residual_at_center_equal_weights():
     t = regular_tet([1.0, 1.0, 1.0, 1.0])
-    emb = embed_regular(1.0)
-    assert equilibrium_residual(t, axis_point(emb, 0.0)) < 1e-12
+    assert equilibrium_residual(t, np.array([0.0, 0.0, 0.0])) < 1e-12
 
 
 def test_residual_at_reference_point():
     t = regular_tet([2.5, 2.5, 1.0, 1.0])
-    emb = embed_regular(1.0)
-    assert equilibrium_residual(t, axis_point(emb, 0.198358)) < 1e-4
+    assert equilibrium_residual(t, np.array([0.0, 0.0, 0.198358])) < 1e-4
 
 
 def test_residual_at_center_unequal_weights():
     # on the axis the lateral components cancel; the axial component is
     # 2*|b1*(c - y)/a01 - b4*(c + y)/a04|, which at y=0 gives sqrt(3) here
     t = regular_tet([2.5, 2.5, 1.0, 1.0])
-    emb = embed_regular(1.0)
-    assert equilibrium_residual(t, axis_point(emb, 0.0)) == pytest.approx(
+    assert equilibrium_residual(t, np.array([0.0, 0.0, 0.0])) == pytest.approx(
         math.sqrt(3), abs=1e-12
     )
 

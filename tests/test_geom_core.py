@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from ftsolve import (
-    CoincidentPoints,
     DegenerateTetrahedron,
     NonPositiveEdge,
     SymmetricInstance,
     WeightedTetrahedron,
     axial_distances,
-    axis_point,
     embed_regular,
     objective,
-    unit_vector,
 )
 
 # axial coordinate of the minimizer for a=1, b1=2.5, b4=1, frozen from the
@@ -23,16 +20,16 @@ Y_REF = 0.1983575549931425
 
 
 def test_objective_distance_to_self_is_zero():
-    emb = embed_regular(1.0)
-    val = objective(emb.vertices, [1.0, 0.0, 0.0, 0.0], emb.vertices[0])
+    v = embed_regular(1.0)
+    val = objective(v, [1.0, 0.0, 0.0, 0.0], v[0])
     assert val == 0.0
 
 
 def test_objective_reference_value():
     # oracle: 2*(b1*a01 + b4*a04) evaluated directly at y
-    emb = embed_regular(1.0)
-    x = axis_point(emb, Y_REF)
-    val = objective(emb.vertices, [2.5, 2.5, 1.0, 1.0], x)
+    v = embed_regular(1.0)
+    x = np.array([0.0, 0.0, Y_REF])
+    val = objective(v, [2.5, 2.5, 1.0, 1.0], x)
     assert val == pytest.approx(4.10710, abs=1e-4)
     a01, a04 = axial_distances(1.0, Y_REF)
     assert val == pytest.approx(2 * (2.5 * a01 + 1.0 * a04), rel=1e-14)
@@ -48,33 +45,21 @@ def test_objective_weight_homogeneity():
         assert objective(pts, k * w, x) == pytest.approx(k * base, rel=1e-14)
 
 
-def test_unit_vector_basic():
-    assert np.allclose(unit_vector([0, 0, 0], [2, 0, 0]), [1, 0, 0])
-    assert np.allclose(unit_vector([1, 1, 1], [1, 1, 3]), [0, 0, 1])
-
-
-def test_unit_vector_coincident_raises():
-    with pytest.raises(CoincidentPoints):
-        unit_vector([1, 2, 3], [1, 2, 3])
-
-
 def test_embed_regular_edges_and_perpendicular():
-    emb = embed_regular(1.0)
-    v = emb.vertices
+    v = embed_regular(1.0)
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.linalg.norm(v[i] - v[j]) == pytest.approx(1.0, abs=1e-12)
     mid12 = 0.5 * (v[0] + v[1])
     mid34 = 0.5 * (v[2] + v[3])
     assert np.linalg.norm(mid12 - mid34) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-    assert np.allclose(mid12, emb.origin + emb.c * emb.axis)
-    assert np.allclose(mid34, emb.origin - emb.c * emb.axis)
+    c = math.sqrt(2) / 4
+    assert np.allclose(mid12, [0.0, 0.0, c])
+    assert np.allclose(mid34, [0.0, 0.0, -c])
 
 
 def test_embed_regular_scaling():
-    e1 = embed_regular(1.0)
-    e2 = embed_regular(2.0)
-    assert np.allclose(e2.vertices, 2.0 * e1.vertices)
+    assert np.allclose(embed_regular(2.0), 2.0 * embed_regular(1.0))
 
 
 def test_embed_regular_rejects_nonpositive():
@@ -86,23 +71,16 @@ def test_embed_regular_rejects_nonpositive():
 
 @pytest.mark.parametrize("a", np.logspace(-3, 3, 13).tolist())
 def test_embed_regular_edge_lengths_log_grid(a):
-    v = embed_regular(a).vertices
+    v = embed_regular(a)
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(np.linalg.norm(v[i] - v[j]) - a) < 1e-12 * a
 
 
-def test_axis_point_construction():
-    emb = embed_regular(1.0)
-    assert np.allclose(axis_point(emb, 0.0), emb.origin)
-    c = math.sqrt(2) / 4
-    assert np.allclose(axis_point(emb, c), 0.5 * (emb.vertices[0] + emb.vertices[1]))
-
-
-def test_axis_point_equidistant_pairs():
-    emb = embed_regular(1.0)
-    x = axis_point(emb, Y_REF)
-    d = np.linalg.norm(emb.vertices - x, axis=1)
+def test_point_on_axis_is_equidistant_from_each_pair():
+    v = embed_regular(1.0)
+    x = np.array([0.0, 0.0, Y_REF])
+    d = np.linalg.norm(v - x, axis=1)
     assert d[0] == pytest.approx(d[1], abs=1e-14)
     assert d[2] == pytest.approx(d[3], abs=1e-14)
 
@@ -121,32 +99,31 @@ def test_axial_distances_values():
 def test_axial_distances_match_embedding():
     rng = np.random.default_rng(42)
     for a in (0.3, 1.0, 5.0):
-        emb = embed_regular(a)
+        v = embed_regular(a)
         for y in rng.uniform(-a, a, size=1000):
-            x = axis_point(emb, y)
+            x = np.array([0.0, 0.0, y])
             a01, a04 = axial_distances(a, y)
-            assert abs(np.linalg.norm(x - emb.vertices[0]) - a01) < 1e-12 * a
-            assert abs(np.linalg.norm(x - emb.vertices[3]) - a04) < 1e-12 * a
+            assert abs(np.linalg.norm(x - v[0]) - a01) < 1e-12 * a
+            assert abs(np.linalg.norm(x - v[3]) - a04) < 1e-12 * a
 
 
 def test_objective_reduces_on_axis():
     # with paired weights the 3-D objective on the axis equals
     # 2*(b1*a01 + b4*a04)
     rng = np.random.default_rng(3)
-    emb = embed_regular(1.0)
+    v = embed_regular(1.0)
     for _ in range(200):
         b1, b4 = rng.uniform(0.1, 5.0, size=2)
         y = rng.uniform(-1.0, 1.0)
-        x = axis_point(emb, y)
-        full = objective(emb.vertices, [b1, b1, b4, b4], x)
+        x = np.array([0.0, 0.0, y])
+        full = objective(v, [b1, b1, b4, b4], x)
         a01, a04 = axial_distances(1.0, y)
         assert full == pytest.approx(2 * (b1 * a01 + b4 * a04), rel=1e-12)
 
 
 def test_weighted_tetrahedron_validation():
-    emb = embed_regular(1.0)
     with pytest.raises(ValueError):
-        WeightedTetrahedron(emb.vertices, [1.0, 1.0, 1.0, -1.0])
+        WeightedTetrahedron(embed_regular(1.0), [1.0, 1.0, 1.0, -1.0])
     flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     with pytest.raises(DegenerateTetrahedron):
         WeightedTetrahedron(flat, [1.0, 1.0, 1.0, 1.0])

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from ftsolve import (
-    SolverConfig,
     SymmetricInstance,
     WeightedTetrahedron,
-    axial_coordinate,
     classify,
     embed_regular,
     equilibrium_residual,
@@ -16,6 +14,7 @@ from ftsolve import (
     objective,
     reduced_objective,
     signed_critical_point,
+    solve_symmetric,
     stationarity_defect,
     weiszfeld,
 )
@@ -26,14 +25,21 @@ YP_REF = 0.5397907128397039
 
 
 def regular_tet(weights, a=1.0):
-    return WeightedTetrahedron(embed_regular(a).vertices, weights)
+    return WeightedTetrahedron(embed_regular(a), weights)
 
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
+        weiszfeld(REF.tetrahedron(), tol=0.0)
+
+
+def test_solutions_hold_plain_tuple_points():
+    floating = weiszfeld(REF.tetrahedron())
+    absorbed = weiszfeld(regular_tet([1.0, 1.0, 1.0, 3.0]))
+    assert (floating.case, absorbed.case) == ("floating", "absorbed")
+    for sol in (solve_symmetric(REF), floating, absorbed):
+        assert type(sol.point) is tuple and len(sol.point) == 3
+        assert all(type(v) is float for v in sol.point)
 
 
 def test_weiszfeld_symmetric_center():
@@ -44,8 +50,7 @@ def test_weiszfeld_symmetric_center():
 
 def test_weiszfeld_reference_instance():
     sol = weiszfeld(REF.tetrahedron())
-    emb = embed_regular(1.0)
-    assert abs(axial_coordinate(emb, sol.point) - 0.198358) < 1e-6
+    assert abs(sol.point[2] - 0.198358) < 1e-6
     assert np.linalg.norm(sol.point[:2]) < 1e-9
 
 
@@ -181,17 +186,15 @@ def test_signed_critical_point_extreme_ratio():
 
 def test_oracle_triangle_random():
     rng = np.random.default_rng(10)
-    emb_cache = {}
     for _ in range(200):
         a = rng.uniform(0.1, 10.0)
         b4 = rng.uniform(0.2, 5.0)
         ratio = max(rng.uniform(1.0, 20.0), 1.001)
         inst = SymmetricInstance(a=a, b1=ratio * b4, b4=b4)
-        emb = emb_cache.setdefault(a, embed_regular(a))
         y_closed = ft_axial(inst)
         y_golden = minimize_reduced(inst)
         sol = weiszfeld(inst.tetrahedron())
-        y_weis = axial_coordinate(emb, sol.point)
+        y_weis = sol.point[2]
         assert abs(y_weis - y_golden) < 1e-6 * a
         assert abs(y_closed - y_weis) < 1e-6 * a
         assert abs(y_closed - y_golden) < 1e-6 * a

@@ -59,6 +59,7 @@ def test_dihedral_alpha_coplanar_is_zero():
     # A0 at the centroid of an equilateral triangle: zero dihedral
     r = 1.0 / math.sqrt(3.0)
     d = DihedralData(
+        a01=r,
         a02=r,
         a03=r,
         a23=1.0,
@@ -98,7 +99,9 @@ def test_dihedral_alpha_perpendicular_base():
 
 
 def test_predict_collapses_to_planar_cosine_law():
+    # A0 on line A1A2, on A1's side of A2: a01 = a02 - a12
     d = DihedralData(
+        a01=1.0,
         a02=2.0,
         a03=1.0,
         a23=1.0,
@@ -129,6 +132,21 @@ def test_predict_reference_stretch(ref_setup, lam4):
     assert predicted == pytest.approx(float(np.linalg.norm(a0 - v[3])), abs=1e-9)
 
 
+@pytest.mark.parametrize("ratio", [5.0, 25.0, 200.0])
+def test_predict_when_foot_lies_beyond_a2(ratio):
+    # b4 = ratio * b1 and lambda = (6, 1, 1, 1) put the foot of the height
+    # from A0 onto line A1'A2' beyond A2'; an unsigned foot distance was off
+    # by 7 % at ratio 5, 28 % at 25 and 34 % at 200
+    inst = SymmetricInstance(a=1.0, b1=1.0, b4=ratio)
+    a0 = solve_symmetric(inst).point
+    v = stretch(make_instance(inst.tetrahedron(), a0, [6.0, 1.0, 1.0, 1.0])).vertices
+    d = measure_dihedral_data(a0, v[0], v[1], v[2], v[3])
+    assert d.a02**2 + d.a12**2 - d.a01**2 < 0
+    h = height_012(d.a01, d.a02, d.a12)
+    direct = float(np.linalg.norm(a0 - v[3]))
+    assert abs(predict_a04p(d, h, dihedral_alpha(d, h)) - direct) <= 1e-9 * direct
+
+
 def test_stretch_identity(ref_setup):
     tet, a0 = ref_setup
     stretched = stretch(make_instance(tet, a0, [1.0, 1.0, 1.0, 1.0]))
@@ -150,7 +168,7 @@ def test_stretch_rejects_absorbed():
     # stretch, so exercise the guard with an absorbed configuration
     from ftsolve import WeightedTetrahedron, embed_regular
 
-    tet = WeightedTetrahedron(embed_regular(1.0).vertices, [1.0, 1.0, 1.0, 3.0])
+    tet = WeightedTetrahedron(embed_regular(1.0), [1.0, 1.0, 1.0, 3.0])
     with pytest.raises(FloatingViolated):
         stretch(make_instance(tet, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]))
 
