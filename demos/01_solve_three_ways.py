@@ -1,8 +1,9 @@
 """Solve one instance by three independent routes and compare.
 
 The closed form, golden-section minimization of the reduced axial
-objective, and full 3-D Weiszfeld iteration should all land on the same
-point when the weights come in two equal pairs on a regular tetrahedron.
+objective, and the full 3-D general solver `weiszfeld` should all land on
+the same point when the weights come in two equal pairs on a regular
+tetrahedron.
 """
 
 from ftsolve import (

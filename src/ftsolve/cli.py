@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-12,
-        help="Weiszfeld step tolerance, relative to the largest edge (general instances)",
+        help="step tolerance of the general solver (a Newton finish with a "
+        "Weiszfeld fallback), relative to the largest edge (general instances)",
     )
     p.set_defaults(func=cmd_solve)
 

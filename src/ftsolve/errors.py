@@ -22,7 +22,9 @@ class EqualWeights(FtSolveError):
 
 
 class NoConvergence(FtSolveError):
-    """Iteration cap exhausted before the residual threshold was met."""
+    """The general solver (a Newton finish with a Weiszfeld fallback) ended,
+    on its step tolerance, its step cap or a point it could not leave, with
+    the equilibrium residual above its threshold."""
 
 
 class NoBracket(FtSolveError):

@@ -140,6 +140,28 @@ def test_plasticity_when_foot_lies_beyond_a2(capsys, symmetric_file, ratio):
     assert abs(payload["predicted_a04p"] - direct) <= 1e-9 * direct
 
 
+# (a, b1, b4, lambdas) of the cli benchmark's large_ratio plasticity inputs
+LARGE_RATIO = [
+    (0.18324062329160828, 2.8592731359453207, 115062469.94217965,
+     (0.6969549259990532, 1.2575260385039744, 1.0061621604045787, 2.1976962491682817)),
+    (0.35934575707970523, 373590.8641162879, 12.601850937605471,
+     (1.7727050302113232, 2.741871151085337, 2.8920951675740696, 1.9489856366479599)),
+    (10.776218041100401, 2177047.878462987, 20.017840795481494,
+     (0.6275728467974134, 1.1265052562728795, 0.543175726816472, 1.0543157654241844)),
+]
+
+
+@pytest.mark.parametrize("a, b1, b4, lambdas", LARGE_RATIO)
+def test_plasticity_at_large_weight_ratios(capsys, symmetric_file, a, b1, b4, lambdas):
+    # the re-solve of the stretched tetrahedron was 0.3*a off for the first
+    # input and exited 2 with NoConvergence for the others
+    lam = ",".join(repr(x) for x in lambdas)
+    argv = ["plasticity", "--input", symmetric_file(a=a, b1=b1, b4=b4), "--lambda", lam]
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 0, err
+    assert abs(json.loads(out)["displacement"]) <= 1e-9 * a
+
+
 @pytest.mark.parametrize("a, b1", [(1e200, 2.5), (1.0, 1e200)])
 def test_quartic_coefficients_out_of_float_range(capsys, symmetric_file, a, b1):
     # a**3 raised a bare OverflowError at a = 1e200, and b1 = 1e200 printed

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from ftsolve import (
+    NoConvergence,
     SymmetricInstance,
     WeightedTetrahedron,
     classify,
@@ -18,6 +20,7 @@ from ftsolve import (
     stationarity_defect,
     weiszfeld,
 )
+from ftsolve import numeric
 
 REF = SymmetricInstance(a=1.0, b1=2.5, b4=1.0)
 Y_REF = 0.1983575549931425
@@ -209,3 +212,72 @@ def test_weiszfeld_residual_threshold():
             continue
         sol = weiszfeld(t)
         assert equilibrium_residual(t, sol.point) < 1e-6 * np.sum(w)
+
+
+def test_no_convergence_reports_the_steps_taken(monkeypatch):
+    # the message used to name the iteration cap whatever the loop did
+    monkeypatch.setattr(numeric, "MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match=r"after 1 step\(s\), the last \d\.\d{3}e[-+]\d+ long"):
+        weiszfeld(regular_tet([2.0, 1.3, 1.1, 0.7]))
+
+
+def objective50(t, x):
+    with mp.workdps(50):
+        return sum(
+            mpf(w) * mp.sqrt(sum((mpf(p) - mpf(q)) ** 2 for p, q in zip(v, x)))
+            for v, w in zip(t.vertices.tolist(), t.weights.tolist())
+        )
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_weiszfeld_next_to_the_sqrt6_boundary(k):
+    # weights (1, 1, 1, sqrt(6) - eps) float, with the minimizer about eps*a
+    # from A4; the plain Weiszfeld iteration raised NoConvergence for k >= 3
+    t = regular_tet([1.0, 1.0, 1.0, math.sqrt(6.0) - 10.0**-k])
+    sol = weiszfeld(t)
+    assert sol.case == "floating"
+    # f(A4) - f(minimizer) is about eps^2/4, under one ulp of f for k >= 8,
+    # so both objectives are evaluated in 50 digits
+    assert objective50(t, sol.point) < objective50(t, t.vertices[3].tolist())
+    if k <= 6:
+        assert equilibrium_residual(t, sol.point) <= 1e-9 * np.sum(t.weights)
+
+
+def test_weiszfeld_precision_on_jittered_tetrahedra():
+    # the plain Weiszfeld iteration reached 1.8e-10 * sum(w) on these draws
+    rng = np.random.default_rng(2024)
+    base = embed_regular(1.0)
+    solved = 0
+    while solved < 200:
+        t = WeightedTetrahedron(
+            base + rng.uniform(-0.3, 0.3, size=(4, 3)),
+            np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=4)),
+        )
+        if not classify(t).floating:
+            continue
+        sol = weiszfeld(t)
+        assert equilibrium_residual(t, sol.point) <= 1e-12 * np.sum(t.weights)
+        solved += 1
+
+
+def test_newton_step_onto_a_vertex_falls_back(monkeypatch):
+    # A1 is the origin.  The weights (1.6, 1, 1, 1) float (the margin at A1 is
+    # sqrt(3) - 1.6), and f(A1) = 3 is below f = 3.12 at the weighted mean, so
+    # a first Newton step onto A1 would lower f.  It must be refused, not
+    # divided by its zero distance.
+    t = WeightedTetrahedron(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [1.6, 1.0, 1.0, 1.0],
+    )
+    newton = numeric._newton
+    calls = []
+
+    def onto_first_vertex(w, v, d):
+        g, s, pull = newton(w, v, d)
+        calls.append(d[0])
+        return (g, tuple(-c for c in v[0]), pull) if len(calls) == 1 else (g, s, pull)
+
+    monkeypatch.setattr(numeric, "_newton", onto_first_vertex)
+    sol = weiszfeld(t)
+    assert sol.case == "floating" and 0.0 not in calls
+    assert equilibrium_residual(t, sol.point) <= 1e-12 * np.sum(t.weights)

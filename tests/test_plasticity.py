@@ -227,3 +227,23 @@ def test_invariance_random_stretches(ref_setup):
             continue
         checked += 1
         assert disp < 1e-6
+
+
+# (a, b1, b4, lambdas) of the cli benchmark's large_ratio plasticity inputs
+LARGE_RATIO = [
+    (0.18324062329160828, 2.8592731359453207, 115062469.94217965,
+     (0.6969549259990532, 1.2575260385039744, 1.0061621604045787, 2.1976962491682817)),
+    (0.35934575707970523, 373590.8641162879, 12.601850937605471,
+     (1.7727050302113232, 2.741871151085337, 2.8920951675740696, 1.9489856366479599)),
+    (10.776218041100401, 2177047.878462987, 20.017840795481494,
+     (0.6275728467974134, 1.1265052562728795, 0.543175726816472, 1.0543157654241844)),
+]
+
+
+@pytest.mark.parametrize("a, b1, b4, lambdas", LARGE_RATIO)
+def test_invariance_at_large_weight_ratios(a, b1, b4, lambdas):
+    # b4/b1 = 4e7, 3.4e-5 and 9.2e-6: the plain Weiszfeld iteration returned
+    # a point 0.3*a off for the first and raised NoConvergence for the others
+    inst = SymmetricInstance(a=a, b1=b1, b4=b4)
+    a0 = solve_symmetric(inst).point
+    assert verify_invariance(make_instance(inst.tetrahedron(), a0, lambdas)) <= 1e-9 * a
