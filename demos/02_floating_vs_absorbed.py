@@ -8,15 +8,13 @@ tetrahedron with unit weights elsewhere, the critical weight is sqrt(6).
 
 import math
 
-import numpy as np
-
 from ftsolve import WeightedTetrahedron, classify, embed_regular
 
 vertices = embed_regular(1.0)
 
 print("weight at vertex 4 | case      | margin at vertex 4")
 for w4 in [1.0, 2.0, math.sqrt(6.0) - 1e-9, math.sqrt(6.0) + 1e-9, 3.0, 5.0]:
-    tet = WeightedTetrahedron(vertices, np.array([1.0, 1.0, 1.0, w4]))
+    tet = WeightedTetrahedron(vertices, [1.0, 1.0, 1.0, w4])
     label = classify(tet)
     tag = label.case if label.vertex is None else f"{label.case} at A{label.vertex + 1}"
     print(f"{w4:18.9f} | {tag:9s} | {label.margins[3]: .3e}")

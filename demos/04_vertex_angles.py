@@ -8,8 +8,6 @@ heavy pair dominates, the heavy angle opens toward pi.
 
 import math
 
-import numpy as np
-
 from ftsolve import SymmetricInstance, angles_at, ft_axial
 
 deg = 180.0 / math.pi
@@ -35,11 +33,18 @@ for ratio in [1.0, 1.5, 2.5, 5.0, 10.0]:
 inst = SymmetricInstance(a=1.0, b1=2.5, b4=1.0)
 y = ft_axial(inst)
 v = inst.tetrahedron().vertices
-p = np.array([0.0, 0.0, y])
-u = (v - p) / np.linalg.norm(v - p, axis=1)[:, None]
+p = (0.0, 0.0, y)
+u = [[(vk - pk) / math.dist(vi, p) for vk, pk in zip(vi, p)] for vi in v]
+
+
+def direct(i, j):
+    """Angle between the unit vectors toward vertices i and j."""
+    return math.acos(sum(a * b for a, b in zip(u[i], u[j])))
+
+
 aset = angles_at(inst.a, y)
 print()
 print("formula vs direct vectors at b1/b4 = 2.5:")
-print(f"  alpha_102: {aset.alpha_102:.12f} vs {math.acos(float(u[0] @ u[1])):.12f}")
-print(f"  alpha_304: {aset.alpha_304:.12f} vs {math.acos(float(u[2] @ u[3])):.12f}")
-print(f"  cross:     {aset.alpha_cross:.12f} vs {math.acos(float(u[0] @ u[3])):.12f}")
+print(f"  alpha_102: {aset.alpha_102:.12f} vs {direct(0, 1):.12f}")
+print(f"  alpha_304: {aset.alpha_304:.12f} vs {direct(2, 3):.12f}")
+print(f"  cross:     {aset.alpha_cross:.12f} vs {direct(0, 3):.12f}")

@@ -15,8 +15,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .analytic import complementary_axial, ft_axial, quartic_coefficients, solve_symmetric
 from .angles import angles_at
@@ -73,10 +71,7 @@ def load_instance(path: str):
         return mode, inst
     if mode == "general":
         try:
-            tet = WeightedTetrahedron(
-                np.asarray(data["vertices"], dtype=float),
-                np.asarray(data["weights"], dtype=float),
-            )
+            tet = WeightedTetrahedron(data["vertices"], data["weights"])
         except (KeyError, TypeError, ValueError, FtSolveError) as e:
             raise InputError(f"bad general instance: {e}") from e
         return mode, tet
@@ -129,7 +124,7 @@ def cmd_classify(args) -> int:
     label = classify(tet)
     payload = {
         "case": label.case,
-        "margins": [float(m) for m in label.margins],
+        "margins": list(label.margins),
     }
     if label.vertex is not None:
         payload["vertex"] = label.vertex
@@ -193,7 +188,7 @@ def cmd_plasticity(args) -> int:
     sol = solve_symmetric(inst)
     if sol.case != "floating":
         raise FtSolveError("plasticity requires a floating base instance")
-    pinst = PlasticityInstance(inst.tetrahedron(), sol.point, np.array(lambdas))
+    pinst = PlasticityInstance(inst.tetrahedron(), sol.point, lambdas)
     stretched = stretch(pinst)
     v = stretched.vertices
     d = measure_dihedral_data(sol.point, v[0], v[1], v[2], v[3])
@@ -202,7 +197,7 @@ def cmd_plasticity(args) -> int:
     predicted = predict_a04p(d, h, alpha)
     displacement = verify_invariance(pinst)
     payload = {
-        "stretched_vertices": [[float(x) for x in row] for row in v],
+        "stretched_vertices": [list(row) for row in v],
         "predicted_a04p": predicted,
         "displacement": displacement,
     }
@@ -216,7 +211,7 @@ def cmd_sweep(args) -> int:
         raise InputError("--steps must be at least 1")
     if args.ratio_max < args.ratio_min or args.ratio_min <= 0:
         raise InputError("need 0 < ratio-min <= ratio-max")
-    ratios = np.linspace(args.ratio_min, args.ratio_max, args.steps)
+    ratios = _ratios(args.ratio_min, args.ratio_max, args.steps)
     sys.stdout.write("ratio,y,y_complementary,objective,alpha102,alpha304,alpha_cross\n")
     for r in ratios:
         row = SymmetricInstance(inst.a, r * inst.b4, inst.b4)
@@ -227,8 +222,16 @@ def cmd_sweep(args) -> int:
             yp = float("nan")
         aset = angles_at(row.a, sol.y)
         cells = [r, sol.y, yp, sol.objective, aset.alpha_102, aset.alpha_304, aset.alpha_cross]
-        sys.stdout.write(",".join(fmt(float(v)) for v in cells) + "\n")
+        sys.stdout.write(",".join(fmt(v) for v in cells) + "\n")
     return 0
+
+
+def _ratios(start: float, stop: float, steps: int) -> list[float]:
+    """steps values start + i * step, the last exactly stop (as linspace)."""
+    if steps == 1:
+        return [start]
+    step = (stop - start) / (steps - 1)
+    return [start + i * step for i in range(steps - 1)] + [stop]
 
 
 def build_parser() -> argparse.ArgumentParser:

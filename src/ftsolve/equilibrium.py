@@ -9,12 +9,11 @@ absorbed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CoincidentPoints
-from .geom_core import WeightedTetrahedron, as_point
+from .geom_core import WeightedTetrahedron, _offsets, _point
 
 __all__ = ["CaseLabel", "classify", "equilibrium_residual"]
 
@@ -26,38 +25,39 @@ class CaseLabel:
 
     floating: bool
     vertex: int | None  # 0-based absorbed vertex, None if floating
-    margins: np.ndarray  # (4,)
+    margins: tuple[float, float, float, float]
 
     @property
     def case(self) -> str:
         return "floating" if self.floating else "absorbed"
 
 
-def _pulls(t: WeightedTetrahedron, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted unit-vector pulls sum_j w_j (A_j - x)/|A_j - x| at each point
-    of x (shape (..., 3)), summed in vertex order, with the distances
-    |A_j - x|; a vertex at distance zero adds nothing."""
-    diff = t.vertices - x[..., None, :]
-    norm = np.linalg.norm(diff, axis=-1)
-    pull = t.weights[:, None] * diff / np.where(norm == 0.0, 1.0, norm)[..., None]
-    return pull.sum(axis=-2), norm
+def _pull(t: WeightedTetrahedron, x) -> tuple[float, list[float]]:
+    """Length of the weighted unit-vector pull sum_j w_j (A_j - x)/|A_j - x|
+    at x, summed in vertex order, and the distances |A_j - x|; a vertex at
+    distance zero adds nothing."""
+    v, d = _offsets(t.vertices, x)
+    px = py = pz = 0.0
+    for wi, (vx, vy, vz), di in zip(t.weights, v, d):
+        if di:
+            px += wi * vx / di
+            py += wi * vy / di
+            pz += wi * vz / di
+    return math.sqrt(px * px + py * py + pz * pz), d
 
 
 def classify(t: WeightedTetrahedron) -> CaseLabel:
     """Classify the minimizer as floating or absorbed at some vertex."""
-    pull, _ = _pulls(t, t.vertices)
-    margins = np.linalg.norm(pull, axis=1) - t.weights
-    absorbed = np.flatnonzero(margins <= 0.0)
-    if absorbed.size == 0:
-        return CaseLabel(floating=True, vertex=None, margins=margins)
+    margins = tuple(_pull(t, a)[0] - w for a, w in zip(t.vertices, t.weights))
     # uniqueness of the minimizer allows at most one non-positive margin
-    return CaseLabel(floating=False, vertex=int(absorbed[0]), margins=margins)
+    vertex = next((i for i, m in enumerate(margins) if m <= 0.0), None)
+    return CaseLabel(floating=vertex is None, vertex=vertex, margins=margins)
 
 
 def equilibrium_residual(t: WeightedTetrahedron, x) -> float:
     """Norm of the weighted unit-vector sum at x; zero exactly at a floating
     minimizer."""
-    pull, norm = _pulls(t, as_point(x))
-    if norm.min() <= 1e-12 * t.max_edge():
+    pull, d = _pull(t, _point(x))
+    if min(d) <= 1e-12 * t.max_edge():
         raise CoincidentPoints("x coincides with a vertex; residual undefined")
-    return float(np.linalg.norm(pull))
+    return pull

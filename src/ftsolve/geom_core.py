@@ -1,11 +1,11 @@
 """Core geometric types, the regular-tetrahedron axial embedding, and the
 weighted distance-sum objective.
 
-Points taken as input are anything numpy reads as a finite (3,) array;
-solutions hand their point back as a plain 3-tuple of floats.  The canonical
-embedding places the symmetry axis of the two-pair-weights problem on +z,
-with the midpoint of the common perpendicular at the origin and the heavier
-pair's edge (A1A2) on the +z side.
+Points, vertices and weights are plain tuples of floats; inputs may be any
+sequences of numbers.  The canonical embedding places the symmetry axis of
+the two-pair-weights problem on +z, with the midpoint of the common
+perpendicular at the origin and the heavier pair's edge (A1A2) on the +z
+side.
 """
 
 from __future__ import annotations
@@ -13,15 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateTetrahedron, NonPositiveEdge
 
 __all__ = [
     "WeightedTetrahedron",
     "SymmetricInstance",
     "FtSolution",
-    "as_point",
     "objective",
     "embed_regular",
     "axial_distances",
@@ -30,44 +27,59 @@ __all__ = [
 COPLANARITY_RTOL = 1e-12
 
 
-def as_point(p) -> np.ndarray:
-    """Coerce to a finite (3,) float array."""
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+def _entries(values, n: int, what: str, entry=float) -> tuple:
+    """The n entries of values, each passed through entry; else ValueError."""
+    try:
+        out = () if isinstance(values, str) else tuple(map(entry, values))
+    except TypeError:
+        out = ()
+    if len(out) != n:
+        raise ValueError(f"{what} must have {n} entries")
+    return out
+
+
+def _point(p) -> tuple[float, float, float]:
+    """Coerce to a finite 3-tuple of floats."""
+    x = _entries(p, 3, "a point")
+    if not all(map(math.isfinite, x)):
         raise ValueError("point coordinates must be finite")
-    return arr
+    return x
+
+
+def _offsets(points, x):
+    """Offsets x - A_i and distances |x - A_i| from x to each point A_i."""
+    v = [(x[0] - a[0], x[1] - a[1], x[2] - a[2]) for a in points]
+    return v, [math.sqrt(ox * ox + oy * oy + oz * oz) for ox, oy, oz in v]
 
 
 @dataclass
 class WeightedTetrahedron:
     """Four non-coplanar vertices with four positive weights."""
 
-    vertices: np.ndarray  # (4, 3)
-    weights: np.ndarray  # (4,)
+    vertices: tuple[tuple[float, float, float], ...]  # 4 points
+    weights: tuple[float, ...]  # 4 weights
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.vertices.shape != (4, 3):
-            raise ValueError("vertices must be a 4x3 array")
-        if self.weights.shape != (4,):
-            raise ValueError("weights must have length 4")
-        if not np.all(np.isfinite(self.vertices)):
-            raise ValueError("vertex coordinates must be finite")
-        if not np.all(self.weights > 0):
+        self.vertices = _entries(self.vertices, 4, "vertices", _point)
+        self.weights = _entries(self.weights, 4, "weights")
+        if not all(w > 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        a = self.max_edge()
-        v = self.vertices
-        vol6 = abs(np.dot(v[1] - v[0], np.cross(v[2] - v[0], v[3] - v[0])))
+        edge = self.max_edge()
+        if edge and not 2.0**-500 <= edge <= 2.0**500:  # _offsets' squares stay normal
+            raise ValueError(f"the largest edge, {edge}, is outside [2^-500, 2^500]")
+        # the volume from edge vectors scaled by the power of two (exact)
+        # that brings the largest edge into [0.5, 1), so a^3 stays in range
+        a, e = math.frexp(edge)
+        edges, _ = _offsets(self.vertices[1:], self.vertices[0])
+        (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = ([math.ldexp(c, -e) for c in o] for o in edges)
+        vol6 = abs(ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx))
         # scale-invariant coplanarity test on the signed volume
         if vol6 / 6.0 <= COPLANARITY_RTOL * a**3:
             raise DegenerateTetrahedron("vertices are coplanar within tolerance")
 
     def max_edge(self) -> float:
         v = self.vertices
-        return float(np.linalg.norm(v[:, None] - v, axis=2).max())
+        return max(max(_offsets(v[:i], v[i])[1]) for i in range(1, 4))
 
 
 @dataclass(frozen=True)
@@ -91,26 +103,18 @@ class SymmetricInstance:
         return self.a * math.sqrt(2.0) / 4.0
 
     def tetrahedron(self) -> WeightedTetrahedron:
-        return WeightedTetrahedron(
-            embed_regular(self.a), np.array([self.b1, self.b1, self.b4, self.b4])
-        )
+        return WeightedTetrahedron(embed_regular(self.a), (self.b1, self.b1, self.b4, self.b4))
 
 
-def embed_regular(a: float) -> np.ndarray:
-    """Vertices (4, 3) of a regular tetrahedron of edge a in the canonical
+def embed_regular(a: float) -> tuple[tuple[float, float, float], ...]:
+    """The four vertices of a regular tetrahedron of edge a in the canonical
     frame: the midpoints of edges A1A2 and A3A4 sit at +-c on the z axis,
     c = a*sqrt(2)/4."""
     if not (a > 0):
         raise NonPositiveEdge(f"edge length must be positive, got {a}")
     c = a * math.sqrt(2.0) / 4.0
-    return np.array(
-        [
-            [-a / 2.0, 0.0, c],
-            [a / 2.0, 0.0, c],
-            [0.0, -a / 2.0, -c],
-            [0.0, a / 2.0, -c],
-        ]
-    )
+    h = a / 2.0
+    return (-h, 0.0, c), (h, 0.0, c), (0.0, -h, -c), (0.0, h, -c)
 
 
 def axial_distances(a: float, y: float) -> tuple[float, float]:
@@ -130,14 +134,12 @@ def objective(points, weights, x) -> float:
     Signed weights are permitted (complementary problems); a point coincident
     with x contributes zero regardless of its weight.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    if pts.shape[0] == 0:
+    pts = [_point(p) for p in points]
+    if not pts:
         raise ValueError("point list must be non-empty")
-    if w.shape != (pts.shape[0],):
-        raise ValueError("weights must match the number of points")
-    d = np.linalg.norm(pts - as_point(x), axis=1)
-    return float(np.dot(w, d))
+    w = _entries(weights, len(pts), "weights")
+    _, d = _offsets(pts, _point(x))
+    return math.fsum(wi * di for wi, di in zip(w, d))
 
 
 @dataclass

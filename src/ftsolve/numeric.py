@@ -16,6 +16,7 @@ from .geom_core import (
     FtSolution,
     SymmetricInstance,
     WeightedTetrahedron,
+    _offsets,
     axial_distances,
     objective,
 )
@@ -50,7 +51,9 @@ def weiszfeld(t: WeightedTetrahedron, tol: float = 1e-12) -> FtSolution:
     in full and is the last one.  NoConvergence is raised when the residual
     at the last point exceeds 1e-6 * sum(w).
 
-    Absorbed instances short-circuit to the absorbing vertex.
+    It runs on the vertices scaled by a power of two (exact) into unit range,
+    so the Hessian stays in range at any edge length.  Absorbed instances
+    short-circuit to the absorbing vertex.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -59,14 +62,15 @@ def weiszfeld(t: WeightedTetrahedron, tol: float = 1e-12) -> FtSolution:
         vtx = t.vertices[label.vertex]
         return FtSolution(
             case="absorbed",
-            point=tuple(vtx.tolist()),
+            point=vtx,
             objective=objective(t.vertices, t.weights, vtx),
             residual=float("nan"),
             vertex=label.vertex,
         )
-    stop = tol * t.max_edge()
-    verts = t.vertices.tolist()
-    w = t.weights.tolist()
+    edge, e = math.frexp(t.max_edge())
+    stop = tol * edge
+    verts = [[math.ldexp(c, -e) for c in p] for p in t.vertices]
+    w = t.weights
     total_w = math.fsum(w)
     x = [math.fsum(wi * p[k] for wi, p in zip(w, verts)) / total_w for k in range(3)]
     v, d = _offsets(verts, x)
@@ -89,17 +93,17 @@ def weiszfeld(t: WeightedTetrahedron, tol: float = 1e-12) -> FtSolution:
             step = trial, tv, td
         steps, step_len = steps + 1, math.dist(step[0], x)
         x, v, d = step
-    residual = equilibrium_residual(t, x)
+    point = tuple(math.ldexp(xk, e) for xk in x)
+    residual = equilibrium_residual(t, point)
     if residual > 1e-6 * total_w:
         raise NoConvergence(
             f"residual {residual:.3e} above threshold after {steps} step(s), "
-            f"the last {step_len:.3e} long"
+            f"the last {math.ldexp(step_len, e):.3e} long"
         )
-    _, d = _offsets(verts, x)
     return FtSolution(
         case="floating",
-        point=tuple(x),
-        objective=math.fsum(wi * di for wi, di in zip(w, d)),
+        point=point,
+        objective=objective(t.vertices, w, point),
         residual=residual,
     )
 
@@ -117,12 +121,6 @@ def _damped(w, verts, x, v, d, s):
             return trial, tv, td
         frac *= 0.5
     return None
-
-
-def _offsets(verts, x):
-    """Offsets x - A_i and distances |x - A_i| from x to each vertex."""
-    v = [(x[0] - a[0], x[1] - a[1], x[2] - a[2]) for a in verts]
-    return v, [math.sqrt(ox * ox + oy * oy + oz * oz) for ox, oy, oz in v]
 
 
 def _clear(d) -> bool:

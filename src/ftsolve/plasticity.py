@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .equilibrium import classify
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
-from .geom_core import WeightedTetrahedron, as_point
+from .geom_core import WeightedTetrahedron, _entries, _offsets, _point
 from .numeric import weiszfeld
 
 __all__ = [
@@ -43,15 +41,13 @@ class PlasticityInstance:
     stretch factors (A_i' = a0 + lambda_i * (A_i - a0))."""
 
     base: WeightedTetrahedron
-    a0: np.ndarray
-    lambdas: np.ndarray  # (4,)
+    a0: tuple[float, float, float]
+    lambdas: tuple[float, float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "a0", as_point(self.a0))
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.shape != (4,):
-            raise ValueError("lambdas must have length 4")
-        if not np.all(lam > 0):
+        object.__setattr__(self, "a0", _point(self.a0))
+        lam = _entries(self.lambdas, 4, "lambdas")
+        if not all(k > 0 for k in lam):
             raise ValueError("stretch factors must be positive")
         object.__setattr__(self, "lambdas", lam)
 
@@ -124,38 +120,35 @@ def predict_a04p(d: DihedralData, h: float, alpha: float) -> float:
     return math.sqrt(radicand)
 
 
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def vertex_angle(apex, p, q) -> float:
     """Angle at apex between the directions toward p and q."""
-    u = as_point(p) - as_point(apex)
-    v = as_point(q) - as_point(apex)
-    cosang = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return _clamped_acos(float(cosang))
+    (u, v), (du, dv) = _offsets((_point(p), _point(q)), _point(apex))
+    return _clamped_acos(_dot(u, v) / (du * dv))
 
 
 def dihedral_angle(edge_p, edge_q, c1, c2) -> float:
     """Dihedral along edge pq between the half-planes containing c1 and c2."""
-    p = as_point(edge_p)
-    e = as_point(edge_q) - p
-    e /= np.linalg.norm(e)
-    v1 = as_point(c1) - p
-    v1 = v1 - np.dot(v1, e) * e
-    v2 = as_point(c2) - p
-    v2 = v2 - np.dot(v2, e) * e
-    cosang = np.dot(v1, v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
-    return _clamped_acos(float(cosang))
+    p, q, c1, c2 = map(_point, (edge_p, edge_q, c1, c2))
+    (e, o1, o2), (de, _, _) = _offsets((q, c1, c2), p)
+    # the parts of the offsets to c1 and c2 normal to the edge
+    e = [ek / de for ek in e]
+    v1 = [ok - _dot(o1, e) * ek for ok, ek in zip(o1, e)]
+    v2 = [ok - _dot(o2, e) * ek for ok, ek in zip(o2, e)]
+    return _clamped_acos(_dot(v1, v2) / (math.hypot(*v1) * math.hypot(*v2)))
 
 
 def measure_dihedral_data(a0, a1, a2, a3, a4p) -> DihedralData:
     """Measure all lengths and angles the formulas need from an explicit
     configuration (normal-vector dihedral, direct distances)."""
-    a0, a1, a2, a3, a4p = map(as_point, (a0, a1, a2, a3, a4p))
+    a0, a1, a2, a3, a4p = map(_point, (a0, a1, a2, a3, a4p))
+    _, (a01, a02, a03) = _offsets((a1, a2, a3), a0)
+    _, (a23, a12, a24p) = _offsets((a3, a1, a4p), a2)
     return DihedralData(
-        a01=float(np.linalg.norm(a0 - a1)),
-        a02=float(np.linalg.norm(a0 - a2)),
-        a03=float(np.linalg.norm(a0 - a3)),
-        a23=float(np.linalg.norm(a2 - a3)),
-        a12=float(np.linalg.norm(a1 - a2)),
-        a24p=float(np.linalg.norm(a2 - a4p)),
+        a01, a02, a03, a23, a12, a24p,
         alpha_123=vertex_angle(a2, a1, a3),
         alpha_124p=vertex_angle(a2, a1, a4p),
         alpha_g4p=dihedral_angle(a1, a2, a3, a4p),
@@ -168,8 +161,12 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
     The stretched tetrahedron keeps the base weights and must remain in the
     floating case; otherwise FloatingViolated is raised.
     """
-    new_vertices = p.a0 + p.lambdas[:, None] * (p.base.vertices - p.a0)
-    stretched = WeightedTetrahedron(new_vertices, p.base.weights.copy())
+    # A_i' = a0 - lambda_i (a0 - A_i)
+    offsets, _ = _offsets(p.base.vertices, p.a0)
+    new_vertices = [
+        [ck - lam * ok for ck, ok in zip(p.a0, o)] for lam, o in zip(p.lambdas, offsets)
+    ]
+    stretched = WeightedTetrahedron(new_vertices, p.base.weights)
     if not classify(stretched).floating:
         raise FloatingViolated("stretched tetrahedron left the floating case")
     return stretched
@@ -179,4 +176,4 @@ def verify_invariance(p: PlasticityInstance) -> float:
     """Re-solve the stretched tetrahedron numerically and report how far its
     minimizer moved from a0 (should be ~0)."""
     sol = weiszfeld(stretch(p))
-    return float(np.linalg.norm(np.subtract(sol.point, p.a0)))
+    return _offsets((p.a0,), sol.point)[1][0]

@@ -149,7 +149,7 @@ def test_criterion_7_plasticity():
         checked += 1
         disp = verify_invariance(inst)
         ok = ok and disp < 1e-6
-        v = stretched.vertices
+        v = np.asarray(stretched.vertices)
         d = measure_dihedral_data(a0, v[0], v[1], v[2], v[3])
         h = height_012(float(np.linalg.norm(a0 - v[0])), d.a02, d.a12)
         alpha = dihedral_alpha(d, h)

@@ -230,7 +230,7 @@ def test_sign_flip_coincidence():
     sol = solve_symmetric(REF)
     tet = REF.tetrahedron()
     total = np.zeros(3)
-    for v, w in zip(tet.vertices, -tet.weights):
+    for v, w in zip(np.asarray(tet.vertices), -np.asarray(tet.weights)):
         diff = v - sol.point
         total += w * diff / np.linalg.norm(diff)
     assert np.linalg.norm(total) < 1e-6 * np.sum(tet.weights)

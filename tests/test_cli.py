@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ftsolve import SymmetricInstance, objective, solve_symmetric
-from ftsolve.cli import main
+from ftsolve.cli import _ratios, main
 
 NINE_SIG = re.compile(r"^-?(\d+(\.\d+)?|\d*\.\d+)(e[+-]?\d+)?$|^nan$")
 
@@ -259,6 +263,44 @@ def test_sweep_schema_and_monotonicity(capsys, symmetric_file):
     assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0001, 50.0), (1e-7, 1e7)])
+@pytest.mark.parametrize("steps", [1, 2, 3000])
+def test_sweep_ratios_match_linspace(lo, hi, steps):
+    assert _ratios(lo, hi, steps) == np.linspace(lo, hi, steps).tolist()
+
+
+# runs every subcommand in a process where importing numpy fails
+WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+from ftsolve.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_no_subcommand_needs_numpy(symmetric_file, general_file):
+    sym = symmetric_file()
+    argvs = [
+        ["solve", "--input", sym],
+        ["solve", "--input", general_file],
+        ["classify", "--input", general_file],
+        ["angles", "--input", sym],
+        ["complementary", "--input", sym],
+        ["quartic", "--input", sym],
+        ["plasticity", "--input", sym, "--lambda", "6,1,1,1"],
+        ["sweep", "--input", sym, "--ratio-min", "0.5", "--ratio-max", "2", "--steps", "5"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(argvs)
+
+
 def test_bad_file_exit_code(capsys, tmp_path):
     missing = str(tmp_path / "nope.json")
     code, _, err = run(capsys, ["solve", "--input", missing])
@@ -271,6 +313,35 @@ def test_bad_schema_exit_code(capsys, tmp_path):
     path.write_text(json.dumps({"mode": "symmetric-regular", "a": -1, "b1": 1, "b4": 1}))
     code, _, err = run(capsys, ["solve", "--input", str(path)])
     assert code == 1
+
+
+UNIT_VERTICES = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+MALFORMED_GENERAL = {
+    "three-vertices": (UNIT_VERTICES[:3], [1.0] * 4),
+    "ragged-rows": ([[0, 0, 0], [1, 0], [0, 1, 0], [0, 0, 1]], [1.0] * 4),
+    "rows-too-deep": ([[[c] for c in row] for row in UNIT_VERTICES], [1.0] * 4),
+    "scalar-vertices": (1.0, [1.0] * 4),
+    "null-vertices": (None, [1.0] * 4),
+    "object-vertices": ({"A1": [0, 0, 0]}, [1.0] * 4),
+    "string-coordinate": ([[0, 0, 0], [1, "x", 0], [0, 1, 0], [0, 0, 1]], [1.0] * 4),
+    "infinite-coordinate": ([[0, 0, 0], [1, math.inf, 0], [0, 1, 0], [0, 0, 1]], [1.0] * 4),
+    "five-weights": (UNIT_VERTICES, [1.0] * 5),
+    "nan-weight": (UNIT_VERTICES, [1.0, math.nan, 1.0, 1.0]),
+    "zero-weight": (UNIT_VERTICES, [1.0, 0.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("sub", ["solve", "classify"])
+@pytest.mark.parametrize("vertices, weights", MALFORMED_GENERAL.values(), ids=MALFORMED_GENERAL)
+def test_malformed_general_instance(capsys, tmp_path, sub, vertices, weights):
+    path = tmp_path / "general.json"
+    # json.dumps writes the non-finite numbers as Infinity and NaN, which
+    # json.load reads back
+    path.write_text(json.dumps({"mode": "general", "vertices": vertices, "weights": weights}))
+    code, out, err = run(capsys, [sub, "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad general instance")
+    assert "Traceback" not in err
 
 
 def test_solver_failure_exit_code(capsys, tmp_path):

@@ -37,7 +37,7 @@ def test_heavy_vertex_absorbed():
 def test_reference_instance_floating():
     label = classify(regular_tet([2.5, 2.5, 1.0, 1.0]))
     assert label.floating
-    assert np.all(label.margins > 0)
+    assert np.all(np.asarray(label.margins) > 0)
 
 
 def test_scale_invariance():
@@ -49,7 +49,7 @@ def test_scale_invariance():
     for k in (0.5, 4.0):
         scaled_weights = classify(regular_tet(k * w))
         assert base.floating == scaled_weights.floating
-        assert np.allclose(k * base.margins, scaled_weights.margins, rtol=1e-12)
+        assert np.allclose(k * np.asarray(base.margins), scaled_weights.margins, rtol=1e-12)
 
 
 def test_boundary_perturbation_flips_classification():

@@ -46,7 +46,7 @@ def test_objective_weight_homogeneity():
 
 
 def test_embed_regular_edges_and_perpendicular():
-    v = embed_regular(1.0)
+    v = np.asarray(embed_regular(1.0))
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.linalg.norm(v[i] - v[j]) == pytest.approx(1.0, abs=1e-12)
@@ -59,7 +59,7 @@ def test_embed_regular_edges_and_perpendicular():
 
 
 def test_embed_regular_scaling():
-    assert np.allclose(embed_regular(2.0), 2.0 * embed_regular(1.0))
+    assert np.allclose(embed_regular(2.0), 2.0 * np.asarray(embed_regular(1.0)))
 
 
 def test_embed_regular_rejects_nonpositive():
@@ -71,7 +71,7 @@ def test_embed_regular_rejects_nonpositive():
 
 @pytest.mark.parametrize("a", np.logspace(-3, 3, 13).tolist())
 def test_embed_regular_edge_lengths_log_grid(a):
-    v = embed_regular(a)
+    v = np.asarray(embed_regular(a))
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(np.linalg.norm(v[i] - v[j]) - a) < 1e-12 * a
@@ -127,6 +127,25 @@ def test_weighted_tetrahedron_validation():
     flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     with pytest.raises(DegenerateTetrahedron):
         WeightedTetrahedron(flat, [1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("a", [1e-110, 1e110])
+def test_weighted_tetrahedron_at_extreme_edge_lengths(a):
+    # a**3 raised OverflowError at edge 1e110, and the volume underflowed
+    # to a DegenerateTetrahedron at 1e-110
+    t = WeightedTetrahedron(embed_regular(a), [1.0, 1.0, 1.0, 1.0])
+    assert t.max_edge() == pytest.approx(a, rel=1e-15)
+    flat = [[a * c for c in p] for p in [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]]
+    with pytest.raises(DegenerateTetrahedron):
+        WeightedTetrahedron(flat, [1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("a", [1e-155, 1e155, 1e300])
+def test_weighted_tetrahedron_rejects_edges_whose_squares_leave_float_range(a):
+    # their squared edges overflow or underflow: unchecked, every margin at
+    # 1e155 reads -w, and this floating instance comes back absorbed at A1
+    with pytest.raises(ValueError, match="largest edge"):
+        WeightedTetrahedron(embed_regular(a), [2.0, 1.3, 1.1, 0.7])
 
 
 def test_symmetric_instance_validation():

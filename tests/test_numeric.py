@@ -225,7 +225,7 @@ def objective50(t, x):
     with mp.workdps(50):
         return sum(
             mpf(w) * mp.sqrt(sum((mpf(p) - mpf(q)) ** 2 for p, q in zip(v, x)))
-            for v, w in zip(t.vertices.tolist(), t.weights.tolist())
+            for v, w in zip(t.vertices, t.weights)
         )
 
 
@@ -238,7 +238,7 @@ def test_weiszfeld_next_to_the_sqrt6_boundary(k):
     assert sol.case == "floating"
     # f(A4) - f(minimizer) is about eps^2/4, under one ulp of f for k >= 8,
     # so both objectives are evaluated in 50 digits
-    assert objective50(t, sol.point) < objective50(t, t.vertices[3].tolist())
+    assert objective50(t, sol.point) < objective50(t, t.vertices[3])
     if k <= 6:
         assert equilibrium_residual(t, sol.point) <= 1e-9 * np.sum(t.weights)
 
@@ -258,6 +258,28 @@ def test_weiszfeld_precision_on_jittered_tetrahedra():
         sol = weiszfeld(t)
         assert equilibrium_residual(t, sol.point) <= 1e-12 * np.sum(t.weights)
         solved += 1
+
+
+@pytest.mark.parametrize("k", [-490, -60, 90, 490])
+def test_weiszfeld_commutes_with_power_of_two_scaling(k):
+    # the solve runs on vertices scaled by a power of two into unit range,
+    # so scaling the input by 2^k scales the point by exactly 2^k; at edge
+    # 1e-102 the Hessian determinant overflowed, and at 1e110 the
+    # coplanarity test raised OverflowError
+    rng = np.random.default_rng(31)
+    base = embed_regular(1.0)
+    for _ in range(30):
+        t = WeightedTetrahedron(
+            base + rng.uniform(-0.25, 0.25, size=(4, 3)),
+            np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=4)),
+        )
+        scaled = WeightedTetrahedron(
+            [[math.ldexp(c, k) for c in p] for p in t.vertices], t.weights
+        )
+        assert classify(scaled) == classify(t)
+        sol, ref = weiszfeld(scaled), weiszfeld(t)
+        assert (sol.case, sol.vertex) == (ref.case, ref.vertex)
+        assert sol.point == tuple(math.ldexp(c, k) for c in ref.point)
 
 
 def test_newton_step_onto_a_vertex_falls_back(monkeypatch):

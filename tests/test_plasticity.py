@@ -36,7 +36,7 @@ def make_instance(base, a0, lambdas):
 def test_height_isoceles_reference(ref_setup):
     # at the reference solution a01 = a02 and the height is |c - y|
     _, a0 = ref_setup
-    a01 = float(np.linalg.norm(a0 - REF.tetrahedron().vertices[0]))
+    a01 = float(np.linalg.norm(a0 - np.asarray(REF.tetrahedron().vertices)[0]))
     h = height_012(a01, a01, 1.0)
     assert h == pytest.approx(math.sqrt(a01**2 - 0.25), rel=1e-12)
     assert h == pytest.approx(0.155196, abs=1e-5)
@@ -75,7 +75,7 @@ def test_dihedral_alpha_coplanar_is_zero():
 
 def test_dihedral_alpha_vector_oracle(ref_setup):
     tet, a0 = ref_setup
-    v = tet.vertices
+    v = np.asarray(tet.vertices)
     d = measure_dihedral_data(a0, v[0], v[1], v[2], v[3])
     a01 = float(np.linalg.norm(a0 - v[0]))
     h = height_012(a01, d.a02, d.a12)
@@ -122,7 +122,7 @@ def test_predict_reference_stretch(ref_setup, lam4):
     tet, a0 = ref_setup
     inst = make_instance(tet, a0, [1.0, 1.0, 1.0, lam4])
     stretched = stretch(inst)
-    v = stretched.vertices
+    v = np.asarray(stretched.vertices)
     d = measure_dihedral_data(a0, v[0], v[1], v[2], v[3])
     a01 = float(np.linalg.norm(a0 - v[0]))
     h = height_012(a01, d.a02, d.a12)
@@ -139,7 +139,7 @@ def test_predict_when_foot_lies_beyond_a2(ratio):
     # by 7 % at ratio 5, 28 % at 25 and 34 % at 200
     inst = SymmetricInstance(a=1.0, b1=1.0, b4=ratio)
     a0 = solve_symmetric(inst).point
-    v = stretch(make_instance(inst.tetrahedron(), a0, [6.0, 1.0, 1.0, 1.0])).vertices
+    v = np.asarray(stretch(make_instance(inst.tetrahedron(), a0, [6.0, 1.0, 1.0, 1.0])).vertices)
     d = measure_dihedral_data(a0, v[0], v[1], v[2], v[3])
     assert d.a02**2 + d.a12**2 - d.a01**2 < 0
     h = height_012(d.a01, d.a02, d.a12)
@@ -157,7 +157,7 @@ def test_stretch_single_and_double(ref_setup):
     tet, a0 = ref_setup
     single = stretch(make_instance(tet, a0, [1.0, 1.0, 1.0, 2.0]))
     assert np.allclose(single.vertices[:3], tet.vertices[:3], atol=1e-12)
-    ray = tet.vertices[3] - a0
+    ray = np.asarray(tet.vertices[3]) - a0
     assert np.allclose(single.vertices[3], a0 + 2.0 * ray, atol=1e-12)
     double = stretch(make_instance(tet, a0, [1.0, 1.0, 2.0, 2.0]))
     assert np.allclose(double.vertices[:2], tet.vertices[:2], atol=1e-12)
@@ -192,7 +192,7 @@ def test_cross_formula_consistency_random(ref_setup):
         except FloatingViolated:
             continue
         count += 1
-        v = stretched.vertices
+        v = np.asarray(stretched.vertices)
         d = measure_dihedral_data(a0, v[0], v[1], v[2], v[3])
         a01 = float(np.linalg.norm(a0 - v[0]))
         h = height_012(a01, d.a02, d.a12)
