@@ -26,7 +26,6 @@ from .errors import (
     EqualWeights,
     FloatingViolated,
     FtSolveError,
-    NoBracket,
     NoConvergence,
     NonPositiveEdge,
     OutOfDomain,
@@ -42,7 +41,6 @@ from .geom_core import (
 from .numeric import (
     minimize_reduced,
     reduced_objective,
-    signed_critical_point,
     stationarity_defect,
     weiszfeld,
 )

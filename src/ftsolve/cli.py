@@ -209,8 +209,8 @@ def cmd_sweep(args) -> int:
     inst = require_symmetric(*load_instance(args.input))
     if args.steps < 1:
         raise InputError("--steps must be at least 1")
-    if args.ratio_max < args.ratio_min or args.ratio_min <= 0:
-        raise InputError("need 0 < ratio-min <= ratio-max")
+    if not 0 < args.ratio_min <= args.ratio_max < math.inf:
+        raise InputError("need finite 0 < ratio-min <= ratio-max")
     ratios = _ratios(args.ratio_min, args.ratio_max, args.steps)
     sys.stdout.write("ratio,y,y_complementary,objective,alpha102,alpha304,alpha_cross\n")
     for r in ratios:
@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plasticity)
 
     p = sub.add_parser("sweep", help="CSV table over a range of weight ratios")
-    common(p)
+    # always CSV, so no --json
+    p.add_argument("--input", required=True, help="instance file (JSON)")
     p.add_argument("--ratio-min", type=float, required=True)
     p.add_argument("--ratio-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)

@@ -27,10 +27,6 @@ class NoConvergence(FtSolveError):
     the equilibrium residual above its threshold."""
 
 
-class NoBracket(FtSolveError):
-    """No sign change found; the critical point escaped the search range."""
-
-
 class DegenerateTriangle(FtSolveError):
     """Side lengths do not form a genuine triangle."""
 

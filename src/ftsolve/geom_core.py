@@ -64,7 +64,8 @@ class WeightedTetrahedron:
         self.weights = _entries(self.weights, 4, "weights")
         if not all(w > 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        edge = self.max_edge()
+        v = self.vertices
+        self._max_edge = edge = max(max(_offsets(v[:i], v[i])[1]) for i in range(1, 4))
         if edge and not 2.0**-500 <= edge <= 2.0**500:  # _offsets' squares stay normal
             raise ValueError(f"the largest edge, {edge}, is outside [2^-500, 2^500]")
         # the volume from edge vectors scaled by the power of two (exact)
@@ -78,8 +79,8 @@ class WeightedTetrahedron:
             raise DegenerateTetrahedron("vertices are coplanar within tolerance")
 
     def max_edge(self) -> float:
-        v = self.vertices
-        return max(max(_offsets(v[:i], v[i])[1]) for i in range(1, 4))
+        """The largest edge length, measured once at construction."""
+        return self._max_edge
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
 """Independent numerical solvers used as oracles for the closed forms.
 
-Three routes to the same points: the general 3-D solver (a Newton finish with
-a Weiszfeld fallback, run until a Newton step is under the step tolerance),
-golden-section minimization of the reduced axial objective, and bisection on
-the signed stationarity equation for the exterior critical point.
+Two routes to the minimizer: the general 3-D solver (a Newton finish with a
+Weiszfeld fallback, run until a Newton step is under the step tolerance), and
+bisection of the slope of the reduced axial objective.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .equilibrium import classify, equilibrium_residual
-from .errors import NoBracket, NoConvergence
+from .errors import NoConvergence
 from .geom_core import (
     FtSolution,
     SymmetricInstance,
@@ -25,11 +24,8 @@ __all__ = [
     "weiszfeld",
     "reduced_objective",
     "minimize_reduced",
-    "signed_critical_point",
     "stationarity_defect",
 ]
-
-INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # step cap of the general solver (it took at most 13 steps on the general
 # benchmark's inputs, seeds 11-13), and how often a Newton step that does not
@@ -192,83 +188,33 @@ def reduced_objective(inst: SymmetricInstance, y: float, sign4: int = 1) -> floa
 
 
 def minimize_reduced(inst: SymmetricInstance) -> float:
-    """Golden-section minimizer of the reduced objective on [-c, c].
+    """Minimizer of the reduced objective on [-c, c], by bisection of its
+    slope down to a bracket of 1e-14 * a.
 
     The reduced objective is strictly convex in y for positive weights, so
-    the bracket shrinks onto the unique minimum.
+    its slope increases from -2 b1 c / a01 < 0 at -c to 2 b4 c / a04 > 0
+    at c.  The loop also ends when the bracket can no longer be halved,
+    which happens first at subnormal edge lengths.
     """
     lo, hi = -inst.c, inst.c
-    tol = 1e-12 * inst.a
-    c1 = hi - INV_GOLDEN * (hi - lo)
-    c2 = lo + INV_GOLDEN * (hi - lo)
-    f1 = reduced_objective(inst, c1)
-    f2 = reduced_objective(inst, c2)
-    while hi - lo > tol:
-        if f1 < f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - INV_GOLDEN * (hi - lo)
-            f1 = reduced_objective(inst, c1)
-        else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + INV_GOLDEN * (hi - lo)
-            f2 = reduced_objective(inst, c2)
-    y = 0.5 * (lo + hi)
-    # value comparisons flatten out at sqrt(machine eps) around the minimum;
-    # bisecting the monotone derivative restores full precision
-    return _polish_minimum(inst, y)
-
-
-def _derivative(inst: SymmetricInstance, y: float) -> float:
-    a01, a04 = axial_distances(inst.a, y)
-    c = inst.c
-    return inst.b1 * (y - c) / a01 + inst.b4 * (y + c) / a04
-
-
-def _polish_minimum(inst: SymmetricInstance, y: float) -> float:
-    half = 1e-6 * inst.a
-    lo = max(y - half, -inst.c)
-    hi = min(y + half, inst.c)
-    if not (_derivative(inst, lo) < 0.0 < _derivative(inst, hi)):
-        return y
-    while hi - lo > 1e-14 * inst.a:
-        mid = 0.5 * (lo + hi)
-        if _derivative(inst, mid) > 0.0:
+    mid = 0.0
+    while hi - lo > 1e-14 * inst.a and lo < mid < hi:
+        if _slope(inst, mid, 1) > 0.0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def stationarity_defect(inst: SymmetricInstance, y: float) -> float:
-    # derivative of b1*a01(y) - b4*a04(y); negative near y = c+, positive
-    # for large y when b1 > b4
+    """Slope of b1*a01(y) - b4*a04(y); negative near y = c+, positive for
+    large y when b1 > b4, and zero at the signed-weight critical point."""
+    return _slope(inst, y, -1)
+
+
+def _slope(inst: SymmetricInstance, y: float, sign4: int) -> float:
+    """Derivative of reduced_objective(inst, y, sign4) in y."""
     a01, a04 = axial_distances(inst.a, y)
     c = inst.c
-    return inst.b1 * (y - c) / a01 - inst.b4 * (y + c) / a04
-
-
-def signed_critical_point(inst: SymmetricInstance) -> float:
-    """Exterior critical point of the signed axial objective, by bisection.
-
-    The bracket's far end grows geometrically until the stationarity defect
-    changes sign; weight ratios too close to 1 push the root beyond 1e6*a
-    and raise NoBracket.
-    """
-    if not (inst.b1 > inst.b4 > 0):
-        raise ValueError("requires b1 > b4 > 0")
-    c = inst.c
-    lo = c * (1.0 + 1e-9)
-    hi = 2.0 * c
-    while stationarity_defect(inst, hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e6 * inst.a:
-            raise NoBracket("no sign change below 1e6*a; weights too close")
-    if stationarity_defect(inst, lo) > 0.0:
-        raise NoBracket("stationarity defect already positive at the near end")
-    while hi - lo > 1e-10 * inst.a:
-        mid = 0.5 * (lo + hi)
-        if stationarity_defect(inst, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return inst.b1 * (y - c) / a01 + sign4 * inst.b4 * (y + c) / a04

@@ -118,7 +118,7 @@ def test_ft_axial_scales_with_edge():
     assert ft_axial(SymmetricInstance(a=2.0, b1=2.5, b4=1.0)) == pytest.approx(
         0.396716, abs=2e-5
     )
-    # golden-section oracle at a=2
+    # derivative-bisection oracle at a=2
     assert ft_axial(SymmetricInstance(a=2.0, b1=2.5, b4=1.0)) == pytest.approx(
         minimize_reduced(SymmetricInstance(a=2.0, b1=2.5, b4=1.0)), abs=1e-7 * 2.0
     )

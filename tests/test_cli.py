@@ -208,6 +208,27 @@ def test_only_solve_accepts_tol(capsys, symmetric_file, argv):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_sweep_has_no_json_flag(capsys, symmetric_file):
+    # sweep always prints CSV; it once accepted --json and ignored it
+    argv = ["sweep", "--input", symmetric_file(), "--ratio-min", "1", "--ratio-max", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--steps", "2", "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [("1", "inf"), ("1", "nan"), ("nan", "2"), ("inf", "inf"), ("0", "2"), ("2", "1")]
+)
+def test_sweep_rejects_bad_ratio_ranges(capsys, symmetric_file, lo, hi):
+    # non-finite ratios once printed the CSV header and then a traceback
+    argv = ["sweep", "--input", symmetric_file(b1=1.0, b4=1.0), "--steps", "3"]
+    code, out, err = run(capsys, argv + [f"--ratio-min={lo}", f"--ratio-max={hi}"])
+    assert code == 1 and out == ""
+    assert err == "error: need finite 0 < ratio-min <= ratio-max\n"
+    assert "Traceback" not in err
+
+
 def test_sweep_single_step(capsys, symmetric_file):
     code, out, _ = run(
         capsys,

@@ -14,8 +14,8 @@ from ftsolve import (
 )
 
 # axial coordinate of the minimizer for a=1, b1=2.5, b4=1, frozen from the
-# closed form and confirmed by golden-section minimization of the reduced
-# objective
+# closed form and confirmed by bisection of the reduced objective's
+# derivative
 Y_REF = 0.1983575549931425
 
 

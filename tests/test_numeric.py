@@ -15,9 +15,7 @@ from ftsolve import (
     minimize_reduced,
     objective,
     reduced_objective,
-    signed_critical_point,
     solve_symmetric,
-    stationarity_defect,
     weiszfeld,
 )
 from ftsolve import numeric
@@ -141,6 +139,13 @@ def test_minimize_reduced_mirror():
     assert minimize_reduced(inst) == pytest.approx(-0.198358, abs=1e-6)
 
 
+def test_minimize_reduced_ends_at_subnormal_edges():
+    # 1e-14 * a underflows to 0 here; the bisection stops once the bracket
+    # can no longer be halved instead of looping forever
+    inst = SymmetricInstance(a=1e-320, b1=2.5, b4=1.0)
+    assert 0.0 < minimize_reduced(inst) < inst.c
+
+
 def test_reduced_objective_convexity_grid():
     # empirical second differences stay positive on the bracket
     rng = np.random.default_rng(9)
@@ -153,40 +158,6 @@ def test_reduced_objective_convexity_grid():
         assert np.all(second > -1e-12)
 
 
-def test_signed_critical_point_reference():
-    assert signed_critical_point(REF) == pytest.approx(0.539791, abs=1e-6)
-
-
-def test_signed_critical_point_scales():
-    inst = SymmetricInstance(a=2.0, b1=2.5, b4=1.0)
-    assert signed_critical_point(inst) == pytest.approx(1.079582, abs=2e-6)
-
-
-def test_signed_critical_point_near_equal_weights():
-    # frozen from the quartic's exterior root; bisection self-checks via the
-    # stationarity defect
-    inst = SymmetricInstance(a=1.0, b1=1.01, b4=1.0)
-    yp = signed_critical_point(inst)
-    assert yp == pytest.approx(2.608480, abs=1e-5)
-    assert abs(stationarity_defect(inst, yp)) < 1e-8
-
-
-def test_signed_critical_point_requires_dominant_b1():
-    with pytest.raises(ValueError):
-        signed_critical_point(SymmetricInstance(a=1.0, b1=1.0, b4=2.0))
-
-
-def test_signed_critical_point_extreme_ratio():
-    # the nearest representable unequal weights still bracket below 1e6*a,
-    # so the escape guard never fires in double precision; check the root
-    # is found and self-consistent even there
-    b1 = math.nextafter(1.0, 2.0)
-    inst = SymmetricInstance(a=1.0, b1=b1, b4=1.0)
-    yp = signed_critical_point(inst)
-    assert yp > 1e4
-    assert abs(stationarity_defect(inst, yp)) < 1e-10
-
-
 def test_oracle_triangle_random():
     rng = np.random.default_rng(10)
     for _ in range(200):
@@ -195,12 +166,12 @@ def test_oracle_triangle_random():
         ratio = max(rng.uniform(1.0, 20.0), 1.001)
         inst = SymmetricInstance(a=a, b1=ratio * b4, b4=b4)
         y_closed = ft_axial(inst)
-        y_golden = minimize_reduced(inst)
+        y_bisect = minimize_reduced(inst)
         sol = weiszfeld(inst.tetrahedron())
         y_weis = sol.point[2]
-        assert abs(y_weis - y_golden) < 1e-6 * a
+        assert abs(y_weis - y_bisect) < 1e-6 * a
         assert abs(y_closed - y_weis) < 1e-6 * a
-        assert abs(y_closed - y_golden) < 1e-6 * a
+        assert abs(y_closed - y_bisect) < 1e-6 * a
 
 
 def test_weiszfeld_residual_threshold():

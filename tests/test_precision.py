@@ -1,6 +1,7 @@
-"""The two-pairs solution against an independent 50-digit mpmath oracle.
+"""The two-pairs solution against the independent 50-digit mpmath oracle
+in perfbench/oracle.py.
 
-The oracle shares no formula with ftsolve: the axial roots are roots of the
+The oracle imports nothing from ftsolve: the axial roots are roots of the
 unsquared stationarity equations
 
     b1 (y - c)/a01 + b4 (y + c)/a04 = 0    (minimizer, |y| < c)
@@ -15,7 +16,7 @@ import json
 import math
 
 import pytest
-from mpmath import mp, mpf
+from oracle import quartic_coefficients, symmetric_reference
 
 from ftsolve import (
     SymmetricInstance,
@@ -24,11 +25,11 @@ from ftsolve import (
     classify,
     complementary_axial,
     equilibrium_residual,
+    minimize_reduced,
     solve_symmetric,
 )
 from ftsolve.cli import main
 
-DPS = 50
 REL_TOL = 1e-9
 
 BAND = {f"1+1e-{k}": 1.0 + 10.0**-k for k in range(1, 11)}
@@ -37,84 +38,20 @@ RATIOS = {**BAND, **BROAD}
 EDGES = (1e-3, 1.0, 1e3)
 
 
-def _vertices(a):
-    c = a * mp.sqrt(2) / 4
-    return [(-a / 2, 0, c), (a / 2, 0, c), (0, -a / 2, -c), (0, a / 2, -c)]
-
-
-def _root(fn, lo, hi):
-    """Root of g between lo and hi, where fn(y) = (g(y), g'(y)) and
-    g(lo) < 0 < g(hi) (lo may lie above hi): Newton steps, bisecting
-    whenever a step leaves the bracket, until a step is below 1e-40
-    relative."""
-    x = (lo + hi) / 2
-    for _ in range(1000):
-        g, dg = fn(x)
-        if g > 0:
-            hi = x
-        else:
-            lo = x
-        nxt = x - g / dg
-        if abs(nxt - x) <= mpf(10) ** -40 * abs(x):
-            return nxt
-        x = nxt if min(lo, hi) < nxt < max(lo, hi) else (lo + hi) / 2
-    raise ArithmeticError("reference root did not converge")
-
-
-def _angle(u, v):
-    cross = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-    return mp.atan2(mp.sqrt(sum(x * x for x in cross)), sum(p * q for p, q in zip(u, v)))
-
-
-def reference(a, b1, b4):
-    """(y, y', objective, (alpha_102, alpha_304, alpha_cross)) at 50 digits
-    for unequal weights."""
-    with mp.workdps(DPS):
-        a, b1, b4 = mpf(a), mpf(b1), mpf(b4)
-        c = a * mp.sqrt(2) / 4
-        h = a * a / 4
-
-        def stationarity(sign):
-            def fn(y):
-                a01 = mp.sqrt(h + (y - c) ** 2)
-                a04 = mp.sqrt(h + (y + c) ** 2)
-                g = b1 * (y - c) / a01 + sign * b4 * (y + c) / a04
-                return g, h * (b1 / a01**3 + sign * b4 / a04**3)
-
-            return fn
-
-        y = _root(stationarity(+1), -c, c)
-        fn = stationarity(-1)
-        edge = c if b1 > b4 else -c
-        far = 2 * edge
-        while fn(far)[0] <= 0:
-            far *= 2
-        yp = _root(fn, edge, far)
-        vectors = [(vx, vy, vz - y) for vx, vy, vz in _vertices(a)]
-        weights = (b1, b1, b4, b4)
-        objective = sum(w * mp.sqrt(sum(x * x for x in v)) for w, v in zip(weights, vectors))
-        angles = (
-            _angle(vectors[0], vectors[1]),
-            _angle(vectors[2], vectors[3]),
-            _angle(vectors[0], vectors[2]),
-        )
-        return float(y), float(yp), float(objective), tuple(float(x) for x in angles)
-
-
 def relative_errors(a, b1, b4):
     """Relative error of every output of the axis path against the oracle."""
-    y_ref, yp_ref, obj_ref, ang_ref = reference(a, b1, b4)
+    ref = symmetric_reference(a, b1, b4)
     inst = SymmetricInstance(a=a, b1=b1, b4=b4)
     sol = solve_symmetric(inst)
     ang = angles_at(a, sol.y)
     got = {
-        "y": (sol.y, y_ref),
-        "point": (sol.point[2], y_ref),
-        "y'": (complementary_axial(inst), yp_ref),
-        "objective": (sol.objective, obj_ref),
-        "alpha_102": (ang.alpha_102, ang_ref[0]),
-        "alpha_304": (ang.alpha_304, ang_ref[1]),
-        "alpha_cross": (ang.alpha_cross, ang_ref[2]),
+        "y": (sol.y, ref.y),
+        "point": (sol.point[2], ref.y),
+        "y'": (complementary_axial(inst), ref.yp),
+        "objective": (sol.objective, ref.objective),
+        "alpha_102": (ang.alpha_102, ref.alpha_102),
+        "alpha_304": (ang.alpha_304, ref.alpha_304),
+        "alpha_cross": (ang.alpha_cross, ref.alpha_cross),
     }
     return {name: abs(v - r) / abs(r) for name, (v, r) in got.items()}
 
@@ -126,6 +63,15 @@ def test_axis_path_matches_50_digit_oracle(ratio):
             errors = relative_errors(a, b1, b4)
             worst = max(errors, key=errors.get)
             assert errors[worst] <= REL_TOL, (a, b1, b4, worst, errors[worst])
+
+
+@pytest.mark.parametrize("ratio", RATIOS.values(), ids=RATIOS.keys())
+def test_slope_bisection_matches_50_digit_oracle(ratio):
+    # minimize_reduced stops at a bracket of 1e-14 a
+    for a in EDGES:
+        for b1, b4 in ((ratio, 1.0), (1.0, ratio)):
+            y = minimize_reduced(SymmetricInstance(a=a, b1=b1, b4=b4))
+            assert abs(y - symmetric_reference(a, b1, b4).y) <= 1e-14 * a, (a, b1, b4)
 
 
 def test_ratio_1_001_interior_root_to_full_precision():
@@ -199,19 +145,17 @@ def test_quartic_subcommand_prints_both_roots(tmp_path, capsys, ratio):
     path.write_text(json.dumps({"mode": "symmetric-regular", "a": 1.0, "b1": ratio, "b4": 1.0}))
     assert main(["quartic", "--input", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    with mp.workdps(DPS):
-        # exact products of the float inputs; b1*b1 - b4*b4 in floats lost
-        # 5e-9 relative on c4 and c0 at 1 + 1e-8
-        d, s = (mpf(ratio) - 1) * (mpf(ratio) + 1), mpf(ratio) ** 2 + 1
-        coefficients = [64 * d, 0, 0, -8 * mp.sqrt(2) * s, 3 * d]
+    # from exact products of the float inputs; b1*b1 - b4*b4 in floats lost
+    # 5e-9 relative on c4 and c0 at 1 + 1e-8
+    coefficients = quartic_coefficients(1.0, ratio, 1.0)
     for got, ref in zip(payload["coefficients"], coefficients):
         assert abs(got - ref) <= REL_TOL * abs(ref)
     if ratio == 1.0:
         # equal weights: the quartic is linear, c1*y = 0
         assert payload["roots"] == [0.0] and payload["multiplicities"] == [1]
         return
-    y_ref, yp_ref, _, _ = reference(1.0, ratio, 1.0)
+    oracle = symmetric_reference(1.0, ratio, 1.0)
     assert payload["multiplicities"] == [1, 1]
     assert len(payload["roots"]) == 2
-    for got, ref in zip(payload["roots"], sorted((y_ref, yp_ref))):
+    for got, ref in zip(payload["roots"], sorted((oracle.y, oracle.yp))):
         assert abs(got - ref) <= REL_TOL * abs(ref)
