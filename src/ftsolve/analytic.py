@@ -154,12 +154,10 @@ def _stationarity(a: float, b1: float, b4: float, y: float, exterior: bool) -> t
     c = a * SQRT2 / 4.0
     h = a * a / 4.0
     a01, a04 = math.hypot(a / 2.0, c - y), math.hypot(a / 2.0, c + y)
+    sign = -1.0 if exterior else 1.0
     lead = (b1 - b4) * (y - c) / a01
-    if exterior:
-        f = lead - b4 * 4.0 * h * c * y / (a01 * a04 * ((c + y) * a01 + (y - c) * a04))
-        return f, h * (b1 / a01**3 - b4 / a04**3)
-    f = lead + b4 * 4.0 * h * c * y / (a01 * a04 * ((c + y) * a01 + (c - y) * a04))
-    return f, h * (b1 / a01**3 + b4 / a04**3)
+    f = lead + sign * b4 * 4.0 * h * c * y / (a01 * a04 * ((c + y) * a01 + sign * (c - y) * a04))
+    return f, h * (b1 / a01**3 + sign * b4 / a04**3)
 
 
 def _axial_root(inst: SymmetricInstance, exterior: bool) -> float | None:
@@ -218,7 +216,6 @@ def solve_symmetric(inst: SymmetricInstance) -> FtSolution:
     a01, a04 = axial_distances(inst.a, y)
     f, _ = _stationarity(1.0, inst.b1, inst.b4, y / inst.a, exterior=False)
     return FtSolution(
-        case="floating",
         point=(0.0, 0.0, y),
         objective=2.0 * (inst.b1 * a01 + inst.b4 * a04),
         residual=2.0 * abs(f),

@@ -45,12 +45,9 @@ class InputError(Exception):
     pass
 
 
-def load_instance(path: str):
-    """Parse and validate an instance file.
-
-    Returns ("symmetric-regular", SymmetricInstance) or
-    ("general", WeightedTetrahedron).
-    """
+def load_instance(path: str) -> SymmetricInstance | WeightedTetrahedron:
+    """Parse and validate an instance file: a SymmetricInstance for mode
+    "symmetric-regular", a WeightedTetrahedron for mode "general"."""
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -68,18 +65,18 @@ def load_instance(path: str):
             )
         except (KeyError, TypeError, ValueError, FtSolveError) as e:
             raise InputError(f"bad symmetric-regular instance: {e}") from e
-        return mode, inst
+        return inst
     if mode == "general":
         try:
             tet = WeightedTetrahedron(data["vertices"], data["weights"])
         except (KeyError, TypeError, ValueError, FtSolveError) as e:
             raise InputError(f"bad general instance: {e}") from e
-        return mode, tet
+        return tet
     raise InputError(f"unknown mode {mode!r}")
 
 
-def require_symmetric(mode, inst) -> SymmetricInstance:
-    if mode != "symmetric-regular":
+def require_symmetric(inst) -> SymmetricInstance:
+    if not isinstance(inst, SymmetricInstance):
         raise InputError("this subcommand requires a symmetric-regular instance")
     return inst
 
@@ -97,13 +94,8 @@ def emit(payload: dict, as_json: bool):
 
 
 def cmd_solve(args) -> int:
-    if not (args.tol > 0):
-        raise InputError("--tol must be positive")
-    mode, inst = load_instance(args.input)
-    if mode == "symmetric-regular":
-        sol = solve_symmetric(inst)
-    else:
-        sol = weiszfeld(inst, args.tol)
+    inst = load_instance(args.input)
+    sol = solve_symmetric(inst) if isinstance(inst, SymmetricInstance) else weiszfeld(inst)
     payload = {
         "case": sol.case,
         "point": list(sol.point),
@@ -119,8 +111,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    mode, inst = load_instance(args.input)
-    tet = inst.tetrahedron() if mode == "symmetric-regular" else inst
+    inst = load_instance(args.input)
+    tet = inst.tetrahedron() if isinstance(inst, SymmetricInstance) else inst
     label = classify(tet)
     payload = {
         "case": label.case,
@@ -133,7 +125,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_angles(args) -> int:
-    inst = require_symmetric(*load_instance(args.input))
+    inst = require_symmetric(load_instance(args.input))
     y = ft_axial(inst)
     aset = angles_at(inst.a, y)
     deg = 180.0 / math.pi
@@ -151,15 +143,14 @@ def cmd_angles(args) -> int:
 
 
 def cmd_complementary(args) -> int:
-    inst = require_symmetric(*load_instance(args.input))
+    inst = require_symmetric(load_instance(args.input))
     yp = complementary_axial(inst)
-    defect = stationarity_defect(inst, yp) if inst.b1 > inst.b4 else float("nan")
-    emit({"y_complementary": yp, "stationarity_defect": defect}, args.json)
+    emit({"y_complementary": yp, "stationarity_defect": stationarity_defect(inst, yp)}, args.json)
     return 0
 
 
 def cmd_quartic(args) -> int:
-    inst = require_symmetric(*load_instance(args.input))
+    inst = require_symmetric(load_instance(args.input))
     q = quartic_coefficients(inst)
     if inst.b1 == inst.b4:
         # the quartic is linear, c1*y = 0
@@ -178,7 +169,7 @@ def cmd_quartic(args) -> int:
 
 
 def cmd_plasticity(args) -> int:
-    inst = require_symmetric(*load_instance(args.input))
+    inst = require_symmetric(load_instance(args.input))
     try:
         lambdas = [float(v) for v in args.lam.split(",")]
         if len(lambdas) != 4:
@@ -186,8 +177,6 @@ def cmd_plasticity(args) -> int:
     except ValueError:
         raise InputError("--lambda expects four comma-separated positive numbers")
     sol = solve_symmetric(inst)
-    if sol.case != "floating":
-        raise FtSolveError("plasticity requires a floating base instance")
     pinst = PlasticityInstance(inst.tetrahedron(), sol.point, lambdas)
     stretched = stretch(pinst)
     v = stretched.vertices
@@ -206,11 +195,13 @@ def cmd_plasticity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    inst = require_symmetric(*load_instance(args.input))
+    inst = require_symmetric(load_instance(args.input))
     if args.steps < 1:
         raise InputError("--steps must be at least 1")
     if not 0 < args.ratio_min <= args.ratio_max < math.inf:
         raise InputError("need finite 0 < ratio-min <= ratio-max")
+    if not (0 < args.ratio_min * inst.b4 and args.ratio_max * inst.b4 < math.inf):
+        raise InputError("ratio-min * b4 and ratio-max * b4 must be positive finite weights")
     ratios = _ratios(args.ratio_min, args.ratio_max, args.steps)
     sys.stdout.write("ratio,y,y_complementary,objective,alpha102,alpha304,alpha_cross\n")
     for r in ratios:
@@ -248,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve for the weighted minimizer")
     common(p)
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=1e-12,
-        help="step tolerance of the general solver (a Newton finish with a "
-        "Weiszfeld fallback), relative to the largest edge (general instances)",
-    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("classify", help="floating/absorbed classification")

@@ -23,9 +23,12 @@ class CaseLabel:
     """Classification outcome with the per-vertex margins
     ||sum_{j != i} B_j u(A_i, A_j)|| - B_i."""
 
-    floating: bool
     vertex: int | None  # 0-based absorbed vertex, None if floating
     margins: tuple[float, float, float, float]
+
+    @property
+    def floating(self) -> bool:
+        return self.vertex is None
 
     @property
     def case(self) -> str:
@@ -51,7 +54,7 @@ def classify(t: WeightedTetrahedron) -> CaseLabel:
     margins = tuple(_pull(t, a)[0] - w for a, w in zip(t.vertices, t.weights))
     # uniqueness of the minimizer allows at most one non-positive margin
     vertex = next((i for i, m in enumerate(margins) if m <= 0.0), None)
-    return CaseLabel(floating=vertex is None, vertex=vertex, margins=margins)
+    return CaseLabel(vertex, margins)
 
 
 def equilibrium_residual(t: WeightedTetrahedron, x) -> float:

@@ -52,26 +52,28 @@ def _offsets(points, x):
     return v, [math.sqrt(ox * ox + oy * oy + oz * oz) for ox, oy, oz in v]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightedTetrahedron:
-    """Four non-coplanar vertices with four positive weights."""
+    """Four non-coplanar vertices with four finite positive weights."""
 
     vertices: tuple[tuple[float, float, float], ...]  # 4 points
     weights: tuple[float, ...]  # 4 weights
 
     def __post_init__(self):
-        self.vertices = _entries(self.vertices, 4, "vertices", _point)
-        self.weights = _entries(self.weights, 4, "weights")
-        if not all(w > 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        v = self.vertices
-        self._max_edge = edge = max(max(_offsets(v[:i], v[i])[1]) for i in range(1, 4))
+        v = _entries(self.vertices, 4, "vertices", _point)
+        w = _entries(self.weights, 4, "weights")
+        if not all(0 < wi < math.inf for wi in w):
+            raise ValueError("weights must be positive and finite")
+        edge = max(max(_offsets(v[:i], v[i])[1]) for i in range(1, 4))
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_max_edge", edge)
         if edge and not 2.0**-500 <= edge <= 2.0**500:  # _offsets' squares stay normal
             raise ValueError(f"the largest edge, {edge}, is outside [2^-500, 2^500]")
         # the volume from edge vectors scaled by the power of two (exact)
         # that brings the largest edge into [0.5, 1), so a^3 stays in range
         a, e = math.frexp(edge)
-        edges, _ = _offsets(self.vertices[1:], self.vertices[0])
+        edges, _ = _offsets(v[1:], v[0])
         (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = ([math.ldexp(c, -e) for c in o] for o in edges)
         vol6 = abs(ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx))
         # scale-invariant coplanarity test on the signed volume
@@ -93,10 +95,10 @@ class SymmetricInstance:
     b4: float
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise NonPositiveEdge(f"edge length must be positive, got {self.a}")
-        if not (self.b1 > 0 and self.b4 > 0):
-            raise ValueError("weights must be positive")
+        if not 0 < self.a < math.inf:
+            raise NonPositiveEdge(f"edge length must be positive and finite, got {self.a}")
+        if not (0 < self.b1 < math.inf and 0 < self.b4 < math.inf):
+            raise ValueError("weights must be positive and finite")
 
     @property
     def c(self) -> float:
@@ -145,19 +147,16 @@ def objective(points, weights, x) -> float:
 
 @dataclass
 class FtSolution:
-    """Solution record: floating/absorbed label, location, axial coordinate
-    (None off the symmetry axis or for absorbed cases), objective value and
-    equilibrium defect."""
+    """Solution record: location, objective value, equilibrium defect, axial
+    coordinate (None off the symmetry axis or for absorbed cases) and the
+    absorbing vertex (None when the minimizer floats)."""
 
-    case: str  # "floating" | "absorbed"
     point: tuple[float, float, float]
     objective: float
     residual: float
     y: float | None = None
     vertex: int | None = None  # 0-based, set iff absorbed
 
-    def __post_init__(self):
-        if self.case not in ("floating", "absorbed"):
-            raise ValueError(f"unknown case label {self.case!r}")
-        if (self.case == "absorbed") != (self.vertex is not None):
-            raise ValueError("vertex index must be set exactly for absorbed cases")
+    @property
+    def case(self) -> str:
+        return "floating" if self.vertex is None else "absorbed"

@@ -28,13 +28,15 @@ __all__ = [
 ]
 
 # step cap of the general solver (it took at most 13 steps on the general
-# benchmark's inputs, seeds 11-13), and how often a Newton step that does not
-# lower the objective is halved before the Weiszfeld step replaces it
+# benchmark's inputs, seeds 11-13), how often a Newton step that does not
+# lower the objective is halved before the Weiszfeld step replaces it, and
+# the step length, relative to the largest edge, that ends the loop
 MAX_ITER = 100
 HALVINGS = 4
+STEP_TOL = 1e-12
 
 
-def weiszfeld(t: WeightedTetrahedron, tol: float = 1e-12) -> FtSolution:
+def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     """Weighted geometric median by a Newton finish with a Weiszfeld fallback.
 
     From the weighted mean, each step solves H s = -g for the gradient g and
@@ -42,29 +44,26 @@ def weiszfeld(t: WeightedTetrahedron, tol: float = 1e-12) -> FtSolution:
     step that does not lower the objective is halved up to HALVINGS times;
     if none of those does, or H is singular, or the trial point lands on a
     vertex, one plain Weiszfeld step (inverse-distance-weighted average,
-    which always descends) is taken instead.  The step tolerance tol ends
-    the loop: a Newton step shorter than tol times the largest edge is taken
-    in full and is the last one.  NoConvergence is raised when the residual
-    at the last point exceeds 1e-6 * sum(w).
+    which always descends) is taken instead.  A Newton step shorter than
+    STEP_TOL times the largest edge is taken in full and is the last one.
+    NoConvergence is raised when the residual at the last point exceeds
+    1e-6 * sum(w).
 
     It runs on the vertices scaled by a power of two (exact) into unit range,
     so the Hessian stays in range at any edge length.  Absorbed instances
     short-circuit to the absorbing vertex.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     label = classify(t)
     if not label.floating:
         vtx = t.vertices[label.vertex]
         return FtSolution(
-            case="absorbed",
             point=vtx,
             objective=objective(t.vertices, t.weights, vtx),
             residual=float("nan"),
             vertex=label.vertex,
         )
     edge, e = math.frexp(t.max_edge())
-    stop = tol * edge
+    stop = STEP_TOL * edge
     verts = [[math.ldexp(c, -e) for c in p] for p in t.vertices]
     w = t.weights
     total_w = math.fsum(w)
@@ -97,7 +96,6 @@ def weiszfeld(t: WeightedTetrahedron, tol: float = 1e-12) -> FtSolution:
             f"the last {math.ldexp(step_len, e):.3e} long"
         )
     return FtSolution(
-        case="floating",
         point=point,
         objective=objective(t.vertices, w, point),
         residual=residual,

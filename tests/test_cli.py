@@ -104,6 +104,21 @@ def test_complementary(capsys, symmetric_file):
     assert abs(payload["stationarity_defect"]) < 1e-9
 
 
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("ratio", [1 + 1e-12, 1.001, 3.0, 1e6])
+@pytest.mark.parametrize("heavy", ["b1", "b4"])
+def test_complementary_defect_for_either_weight_order(capsys, symmetric_file, a, ratio, heavy):
+    # the defect once printed as nan when b1 < b4; the worst seen over a
+    # grid of ratios and edges is 1.3e-16 * (b1 + b4) in either order
+    b1, b4 = (ratio, 1.0) if heavy == "b1" else (1.0, ratio)
+    path = symmetric_file(a=a, b1=b1, b4=b4)
+    code, out, _ = run(capsys, ["complementary", "--input", path, "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert math.copysign(1.0, payload["y_complementary"]) == (1.0 if b1 > b4 else -1.0)
+    assert abs(payload["stationarity_defect"]) <= 4e-16 * (b1 + b4)
+
+
 def test_quartic(capsys, symmetric_file):
     code, out, _ = run(capsys, ["quartic", "--input", symmetric_file(), "--json"])
     assert code == 0
@@ -181,16 +196,10 @@ def test_quartic_coefficients_out_of_float_range(capsys, symmetric_file, a, b1):
     assert payload["case"] == "floating" and math.isfinite(payload["y"])
 
 
-@pytest.mark.parametrize("tol", ["0", "nan", "-1e-3"])
-def test_solve_rejects_nonpositive_tol(capsys, general_file, tol):
-    code, out, err = run(capsys, ["solve", "--input", general_file, f"--tol={tol}"])
-    assert code == 1 and out == ""
-    assert err == "error: --tol must be positive\n"
-
-
 @pytest.mark.parametrize(
     "argv",
     [
+        ["solve"],
         ["classify"],
         ["angles"],
         ["complementary"],
@@ -200,8 +209,9 @@ def test_solve_rejects_nonpositive_tol(capsys, general_file, tol):
     ],
     ids=lambda argv: argv[0],
 )
-def test_only_solve_accepts_tol(capsys, symmetric_file, argv):
-    # the other subcommands once accepted --tol and ignored it
+def test_no_subcommand_accepts_tol(capsys, symmetric_file, argv):
+    # the general solver's step tolerance is fixed; solve once took --tol
+    # and the other subcommands accepted it and ignored it
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--input", symmetric_file(), "--tol", "1e-6"])
     assert exc.value.code == 2
@@ -226,6 +236,18 @@ def test_sweep_rejects_bad_ratio_ranges(capsys, symmetric_file, lo, hi):
     code, out, err = run(capsys, argv + [f"--ratio-min={lo}", f"--ratio-max={hi}"])
     assert code == 1 and out == ""
     assert err == "error: need finite 0 < ratio-min <= ratio-max\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("b, lo, hi", [(10.0, "1", "1e308"), (1e-300, "1e-300", "1")])
+def test_sweep_rejects_row_weights_outside_float_range(capsys, symmetric_file, b, lo, hi):
+    # the row weight ratio * b4 overflowed to inf, which printed a row of
+    # nan with exit 0, or underflowed to 0, which printed the CSV header and
+    # then a traceback
+    argv = ["sweep", "--input", symmetric_file(b1=b, b4=b), "--steps", "2"]
+    code, out, err = run(capsys, argv + [f"--ratio-min={lo}", f"--ratio-max={hi}"])
+    assert code == 1 and out == ""
+    assert err == "error: ratio-min * b4 and ratio-max * b4 must be positive finite weights\n"
     assert "Traceback" not in err
 
 
@@ -348,6 +370,7 @@ MALFORMED_GENERAL = {
     "infinite-coordinate": ([[0, 0, 0], [1, math.inf, 0], [0, 1, 0], [0, 0, 1]], [1.0] * 4),
     "five-weights": (UNIT_VERTICES, [1.0] * 5),
     "nan-weight": (UNIT_VERTICES, [1.0, math.nan, 1.0, 1.0]),
+    "infinite-weight": (UNIT_VERTICES, [math.inf, 1.0, 1.0, 1.0]),
     "zero-weight": (UNIT_VERTICES, [1.0, 0.0, 1.0, 1.0]),
 }
 
@@ -362,6 +385,21 @@ def test_malformed_general_instance(capsys, tmp_path, sub, vertices, weights):
     code, out, err = run(capsys, [sub, "--input", str(path)])
     assert code == 1 and out == ""
     assert err.startswith("error: bad general instance")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub", ["solve", "classify", "sweep"])
+@pytest.mark.parametrize(
+    "field, value", [("a", math.inf), ("b1", math.inf), ("b4", math.inf), ("b1", math.nan)]
+)
+def test_non_finite_symmetric_instance(capsys, symmetric_file, sub, field, value):
+    # b1 = Infinity once made solve print y=nan and exit 0
+    argv = [sub, "--input", symmetric_file(**{field: value})]
+    if sub == "sweep":
+        argv += ["--ratio-min", "1", "--ratio-max", "2", "--steps", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad symmetric-regular instance")
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -146,6 +147,40 @@ def test_weighted_tetrahedron_rejects_edges_whose_squares_leave_float_range(a):
     # 1e155 reads -w, and this floating instance comes back absorbed at A1
     with pytest.raises(ValueError, match="largest edge"):
         WeightedTetrahedron(embed_regular(a), [2.0, 1.3, 1.1, 0.7])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+def test_weighted_tetrahedron_rejects_weights_not_finite_positive(bad):
+    # an infinite weight once gave a nan objective and nan margins
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        WeightedTetrahedron(embed_regular(1.0), [bad, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("field", ["vertices", "weights"])
+def test_weighted_tetrahedron_is_frozen(field):
+    # an assignment once went unvalidated, and max_edge kept the old value
+    t = WeightedTetrahedron(embed_regular(1.0), [1.0] * 4)
+    before = getattr(t, field)
+    with pytest.raises(FrozenInstanceError):
+        setattr(t, field, ((0.0, 0.0, 0.0),) * 4 if field == "vertices" else (2.0,) * 4)
+    assert getattr(t, field) == before and t.max_edge() == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "a, b1, b4, error",
+    [
+        (math.inf, 1.0, 1.0, NonPositiveEdge),
+        (math.nan, 1.0, 1.0, NonPositiveEdge),
+        (1.0, math.inf, 1.0, ValueError),
+        (1.0, 1.0, math.inf, ValueError),
+        (1.0, math.nan, 1.0, ValueError),
+        (1.0, 1.0, math.nan, ValueError),
+    ],
+)
+def test_symmetric_instance_rejects_non_finite_values(a, b1, b4, error):
+    # b1 = inf once solved to y = nan
+    with pytest.raises(error, match="positive and finite"):
+        SymmetricInstance(a=a, b1=b1, b4=b4)
 
 
 def test_symmetric_instance_validation():

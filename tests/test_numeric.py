@@ -29,11 +29,6 @@ def regular_tet(weights, a=1.0):
     return WeightedTetrahedron(embed_regular(a), weights)
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        weiszfeld(REF.tetrahedron(), tol=0.0)
-
-
 def test_solutions_hold_plain_tuple_points():
     floating = weiszfeld(REF.tetrahedron())
     absorbed = weiszfeld(regular_tet([1.0, 1.0, 1.0, 3.0]))

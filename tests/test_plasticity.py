@@ -247,3 +247,13 @@ def test_invariance_at_large_weight_ratios(a, b1, b4, lambdas):
     inst = SymmetricInstance(a=a, b1=b1, b4=b4)
     a0 = solve_symmetric(inst).point
     assert verify_invariance(make_instance(inst.tetrahedron(), a0, lambdas)) <= 1e-9 * a
+
+
+def test_invariance_needs_the_newton_step_halving():
+    # b4/b1 = 1e9: this draw lands 8.6e-9 * a from a0; with the halving of
+    # Newton steps switched off (HALVINGS = 0) the solver stalls 0.50 * a away
+    a = 0.8579700568840782
+    inst = SymmetricInstance(a=a, b1=1.0, b4=1e9)
+    lambdas = (0.8349940227937647, 0.5458602178513564, 2.631132517324947, 0.628112545042036)
+    a0 = solve_symmetric(inst).point
+    assert verify_invariance(make_instance(inst.tetrahedron(), a0, lambdas)) <= 1e-7 * a
