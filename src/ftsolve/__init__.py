@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 
 from .analytic import (
     QuarticCoefficients,
-    RadicalIntermediates,
     complementary_axial,
     ft_axial,
     quartic_coefficients,
-    radical_intermediates,
     solve_symmetric,
 )
 from .angles import AngleSet, angles_at

@@ -8,7 +8,11 @@ Each angle comes from atan2, which keeps full precision where a cosine
 sits near -1 or 1 (y near the edge midpoints at +-c): the angle under A1A2
 is twice the half-angle atan2(a/2, c - y), and the cross angle is atan2 of
 the cross product (a/2) sqrt(2) hypot(a/2, y) and the dot product
-y^2 - c^2 of the two vectors from the point to the vertices.
+y^2 - c^2 of the two vectors from the point to the vertices.  Every
+angle is unchanged when a and y scale together, so both are first scaled
+by the power of two (exact) that brings a into [0.5, 1): at the caller's
+scale that product and the hypot overflow or underflow for a outside
+about [1e-160, 1e154].
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ def angles_at(a: float, y: float) -> AngleSet:
     """Angles subtended by the edges at the axial point with coordinate y."""
     if not (a > 0):
         raise NonPositiveEdge(f"edge length must be positive, got {a}")
+    a, e = math.frexp(a)
+    y = math.ldexp(y, -e)
     c = a * math.sqrt(2.0) / 4.0
     half = a / 2.0
     return AngleSet(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateTetrahedron, NonPositiveEdge
+from .errors import DegenerateTetrahedron, NonPositiveEdge, OutOfDomain
 
 __all__ = [
     "WeightedTetrahedron",
@@ -69,7 +69,7 @@ class WeightedTetrahedron:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_max_edge", edge)
         if edge and not 2.0**-500 <= edge <= 2.0**500:  # _offsets' squares stay normal
-            raise ValueError(f"the largest edge, {edge}, is outside [2^-500, 2^500]")
+            raise OutOfDomain(f"the largest edge, {edge}, is outside [2^-500, 2^500]")
         # the volume from edge vectors scaled by the power of two (exact)
         # that brings the largest edge into [0.5, 1), so a^3 stays in range
         a, e = math.frexp(edge)

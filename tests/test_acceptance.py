@@ -24,7 +24,6 @@ from ftsolve import (
     minimize_reduced,
     predict_a04p,
     quartic_coefficients,
-    radical_intermediates,
     solve_symmetric,
     stretch,
     verify_invariance,
@@ -109,17 +108,6 @@ def test_criterion_4_oracle_equivalence():
         f"({elapsed:.2f}s)",
         ok,
     )
-
-
-def test_criterion_5_branch_cancellation():
-    ok = True
-    saw_negative = False
-    for inst in random_instances(500):
-        ri = radical_intermediates(inst)
-        ok = ok and ri.imag_defect < 1e-9 * inst.a
-        saw_negative = saw_negative or ri.s < 0
-    ok = ok and saw_negative
-    report("complex branches cancel; negative-s path exercised", ok)
 
 
 def test_criterion_6_equilibrium_residual():

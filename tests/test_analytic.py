@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ftsolve import (
-    EqualWeights,
     FtSolveError,
     SymmetricInstance,
     complementary_axial,
@@ -12,16 +11,11 @@ from ftsolve import (
     ft_axial,
     minimize_reduced,
     quartic_coefficients,
-    radical_intermediates,
     solve_symmetric,
     stationarity_defect,
 )
 
 REF = SymmetricInstance(a=1.0, b1=2.5, b4=1.0)
-
-# frozen from direct evaluation of the intermediate polynomial (independent
-# arithmetic, cross-checked against the quartic roots)
-S_REF = -5930.314849738308
 
 
 def random_instances(n, seed=0):
@@ -60,50 +54,11 @@ def test_quartic_coefficients_scaling():
     assert q2.c4 == q1.c4
 
 
-def test_radical_intermediates_reference():
-    ri = radical_intermediates(REF)
-    assert ri.s == pytest.approx(S_REF, rel=1e-12)
-    assert ri.s < 0
-    assert ri.imag_defect < 1e-9
-    # principal cube root of a negative real sits in the upper half plane
-    assert ri.s_cbrt.imag > 0
-    assert abs(ri.s_cbrt**3 - ri.s) < 1e-9 * abs(ri.s)
-
-
-def test_s_matches_direct_two_term_evaluation():
-    # the implementation uses the telescoped factored form of s; confirm it
-    # agrees with direct evaluation of the polynomial-plus-root expression
-    # wherever the latter keeps enough digits
-    for a, b1, b4 in [(1.0, 2.5, 1.0), (2.0, 5.0, 1.0), (0.5, 3.0, 2.0)]:
-        p, q = b1 * b1, b4 * b4
-        poly = a**6 * (
-            -(p**6) + 2 * p**5 * q + p**4 * q**2 - 4 * p**3 * q**3
-            + p**2 * q**4 + 2 * p * q**5 - q**6
-        )
-        inner = a**12 * (
-            p**11 * q - 8 * p**10 * q**2 + 29 * p**9 * q**3 - 64 * p**8 * q**4
-            + 98 * p**7 * q**5 - 112 * p**6 * q**6 + 98 * p**5 * q**7
-            - 64 * p**4 * q**8 + 29 * p**3 * q**9 - 8 * p**2 * q**10 + p * q**11
-        )
-        assert inner > 0
-        direct = poly + 2.0 * math.sqrt(2.0) * math.sqrt(inner)
-        ri = radical_intermediates(SymmetricInstance(a=a, b1=b1, b4=b4))
-        assert ri.s == pytest.approx(direct, rel=1e-7)
-
-
-def test_radical_intermediates_weight_scaling():
+def test_ft_axial_weight_scaling():
     k = 3.7
-    ri1 = radical_intermediates(REF)
-    ri2 = radical_intermediates(SymmetricInstance(a=1.0, b1=k * 2.5, b4=k * 1.0))
-    assert ri2.s == pytest.approx(k**12 * ri1.s, rel=1e-12)
     assert ft_axial(SymmetricInstance(a=1.0, b1=k * 2.5, b4=k * 1.0)) == pytest.approx(
         ft_axial(REF), rel=1e-12
     )
-
-
-def test_radical_intermediates_equal_weights_raises():
-    with pytest.raises(EqualWeights):
-        radical_intermediates(SymmetricInstance(a=1.0, b1=1.0, b4=1.0))
 
 
 def test_ft_axial_reference():
@@ -212,16 +167,6 @@ def test_root_set_matches_quartic_solver():
 def test_oracle_agreement_golden_section():
     for inst in random_instances(500, seed=7):
         assert abs(ft_axial(inst) - minimize_reduced(inst)) < 1e-7 * inst.a
-
-
-def test_branch_cancellation_random():
-    saw_negative_s = False
-    for inst in random_instances(500, seed=8):
-        ri = radical_intermediates(inst)
-        assert ri.imag_defect < 1e-9 * inst.a
-        if ri.s < 0:
-            saw_negative_s = True
-    assert saw_negative_s
 
 
 def test_sign_flip_coincidence():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ftsolve import angles_at, embed_regular, vertex_angle
+from ftsolve import SymmetricInstance, angles_at, embed_regular, ft_axial, vertex_angle
 
 Y_REF = 0.1983575549931425
 TETRAHEDRAL_ANGLE = math.acos(-1.0 / 3.0)
@@ -22,6 +22,16 @@ def test_reference_point_angles():
     assert aset.alpha_102 == pytest.approx(2.5396667294, abs=1e-8)
     assert aset.alpha_304 == pytest.approx(1.4721779657, abs=1e-8)
     assert aset.alpha_cross == pytest.approx(1.7922947830, abs=1e-8)
+
+
+@pytest.mark.parametrize("k", [-1000, -520, 520, 1000])
+@pytest.mark.parametrize("a, b1, b4", [(1.0, 2.0, 1.0), (3.7, 1.0, 2.5), (0.6, 1.0 + 1e-9, 1.0)])
+def test_angles_scale_exactly_with_the_edge(k, a, b1, b4):
+    # (y - c)(y + c) and the hypot product overflowed or underflowed at the
+    # caller's scale: alpha_cross read 135 degrees at a = 1e300 and 180 at
+    # a = 1e-200 for weights (2, 1), against 104.9 at a = 1
+    y = ft_axial(SymmetricInstance(a=a, b1=b1, b4=b4))
+    assert angles_at(math.ldexp(a, k), math.ldexp(y, k)) == angles_at(a, y)
 
 
 def test_angle_ordering_for_positive_y():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ftsolve import SymmetricInstance, objective, solve_symmetric
-from ftsolve.cli import _ratios, main
+from ftsolve.cli import _ratios, fmt, main
 
 NINE_SIG = re.compile(r"^-?(\d+(\.\d+)?|\d*\.\d+)(e[+-]?\d+)?$|^nan$")
 
@@ -194,6 +194,42 @@ def test_quartic_coefficients_out_of_float_range(capsys, symmetric_file, a, b1):
     assert code == 0, err
     payload = json.loads(out)
     assert payload["case"] == "floating" and math.isfinite(payload["y"])
+
+
+def test_angles_at_a_huge_edge(capsys, symmetric_file):
+    # alpha_cross_deg read 135 at a = 1e300, against 104.913833678 at a = 1
+    payloads = []
+    for a in (1.0, 1e300):
+        code, out, err = run(capsys, ["angles", "--input", symmetric_file(a=a, b1=2.0), "--json"])
+        assert code == 0, err
+        payloads.append(json.loads(out))
+    assert payloads[0]["y"] * 1e300 == pytest.approx(payloads[1]["y"], rel=1e-15)
+    for key in ("alpha102_deg", "alpha304_deg", "alpha_cross_deg"):
+        assert payloads[1][key] == payloads[0][key]
+    assert fmt(payloads[1]["alpha_cross_deg"]) == "104.913834"
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify"], ["plasticity", "--lambda", "1,1,2,2"]], ids=["classify", "plasticity"]
+)
+def test_symmetric_edge_outside_the_tetrahedron_range(capsys, symmetric_file, argv):
+    # the tetrahedron's [2^-500, 2^500] edge check raised a bare ValueError
+    code, out, err = run(capsys, [argv[0], "--input", symmetric_file(a=1e300, b1=2.0)] + argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("solver error: the largest edge")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sub, a, b1", [("complementary", 1e307, 1.000000000000001), ("solve", 1e308, 2.0)]
+)
+def test_answers_beyond_the_float_range(capsys, symmetric_file, sub, a, b1):
+    # complementary printed "y_complementary": Infinity and solve
+    # "objective": Infinity, which is not JSON, with exit 0
+    code, out, err = run(capsys, [sub, "--input", symmetric_file(a=a, b1=b1), "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("solver error: the ") and "exceeds the float range" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

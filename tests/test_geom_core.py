@@ -7,6 +7,7 @@ import pytest
 from ftsolve import (
     DegenerateTetrahedron,
     NonPositiveEdge,
+    OutOfDomain,
     SymmetricInstance,
     WeightedTetrahedron,
     axial_distances,
@@ -145,7 +146,7 @@ def test_weighted_tetrahedron_at_extreme_edge_lengths(a):
 def test_weighted_tetrahedron_rejects_edges_whose_squares_leave_float_range(a):
     # their squared edges overflow or underflow: unchecked, every margin at
     # 1e155 reads -w, and this floating instance comes back absorbed at A1
-    with pytest.raises(ValueError, match="largest edge"):
+    with pytest.raises(OutOfDomain, match="largest edge"):
         WeightedTetrahedron(embed_regular(a), [2.0, 1.3, 1.1, 0.7])
 
 

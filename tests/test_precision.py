@@ -88,6 +88,20 @@ def test_ratio_1_plus_1e_9_solves():
         assert max(errors.values()) <= REL_TOL
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 2**10, 2**20, 2**30, 2**40])
+def test_both_roots_within_two_ulps_near_equal_weights(k):
+    # X is a cube root of up to 2^113 here; v ** (1/3) alone is off by up
+    # to about 6 units of 2^-52 relative on either root
+    ratio = 1.0 + k * 2.0**-52
+    for a in EDGES:
+        for b1, b4 in ((ratio, 1.0), (1.0, ratio)):
+            ref = symmetric_reference(a, b1, b4)
+            inst = SymmetricInstance(a=a, b1=b1, b4=b4)
+            roots = ((solve_symmetric(inst).y, ref.y), (complementary_axial(inst), ref.yp))
+            for got, want in roots:
+                assert abs(got - want) <= 2 * 2.0**-52 * abs(want), (a, b1, b4, got, want)
+
+
 @pytest.mark.parametrize("a, k", [(1.0, 1e-30), (1.0, 1e30), (1e-200, 1.0), (1e200, 1.0)])
 def test_scales_far_from_unit(a, k):
     # y scales with a and depends on the weights only through their ratio;
