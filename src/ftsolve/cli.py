@@ -24,12 +24,12 @@ from .geom_core import SymmetricInstance, WeightedTetrahedron
 from .numeric import stationarity_defect, weiszfeld
 from .plasticity import (
     PlasticityInstance,
+    _displacement,
     dihedral_alpha,
     height_012,
     measure_dihedral_data,
     predict_a04p,
     stretch,
-    verify_invariance,
 )
 
 EXIT_INPUT = 1
@@ -170,21 +170,20 @@ def cmd_quartic(args) -> int:
 
 def cmd_plasticity(args) -> int:
     inst = require_symmetric(load_instance(args.input))
-    try:
-        lambdas = [float(v) for v in args.lam.split(",")]
-        if len(lambdas) != 4:
-            raise ValueError
-    except ValueError:
-        raise InputError("--lambda expects four comma-separated positive numbers")
     sol = solve_symmetric(inst)
-    pinst = PlasticityInstance(inst.tetrahedron(), sol.point, lambdas)
+    tet = inst.tetrahedron()
+    try:
+        pinst = PlasticityInstance(tet, sol.point, [float(v) for v in args.lam.split(",")])
+    except ValueError:
+        raise InputError("--lambda expects four comma-separated positive numbers") from None
+    # one stretched tetrahedron, classified once, for the output and the re-solve
     stretched = stretch(pinst)
     v = stretched.vertices
     d = measure_dihedral_data(sol.point, v[0], v[1], v[2], v[3])
     h = height_012(d.a01, d.a02, d.a12)
     alpha = dihedral_alpha(d, h)
     predicted = predict_a04p(d, h, alpha)
-    displacement = verify_invariance(pinst)
+    displacement = _displacement(pinst, stretched)
     payload = {
         "stretched_vertices": [list(row) for row in v],
         "predicted_a04p": predicted,

@@ -35,23 +35,37 @@ class CaseLabel:
         return "floating" if self.floating else "absorbed"
 
 
-def _pull(t: WeightedTetrahedron, x) -> tuple[float, list[float]]:
-    """Length of the weighted unit-vector pull sum_j w_j (A_j - x)/|A_j - x|
-    at x, summed in vertex order, and the distances |A_j - x|; a vertex at
-    distance zero adds nothing."""
-    v, d = _offsets(t.vertices, x)
+def _pull(w, v, d) -> float:
+    """Length of the weighted unit-vector pull sum_j w_j (x - A_j)/|x - A_j|,
+    summed in order from the offsets v_j = x - A_j and distances d_j; a
+    vertex at distance zero adds nothing."""
     px = py = pz = 0.0
-    for wi, (vx, vy, vz), di in zip(t.weights, v, d):
+    for wi, (vx, vy, vz), di in zip(w, v, d):
         if di:
             px += wi * vx / di
             py += wi * vy / di
             pz += wi * vz / di
-    return math.sqrt(px * px + py * py + pz * pz), d
+    return math.sqrt(px * px + py * py + pz * pz)
 
 
 def classify(t: WeightedTetrahedron) -> CaseLabel:
     """Classify the minimizer as floating or absorbed at some vertex."""
-    margins = tuple(_pull(t, a)[0] - w for a, w in zip(t.vertices, t.weights))
+    # the pull at A_i from the stored pairs, in vertex order: A_i - A_j for
+    # j < i, and A_j - A_i with the weight negated (exact) for j > i
+    (
+        _,
+        ((o10,), (d10,)),
+        ((o20, o21), (d20, d21)),
+        ((o30, o31, o32), (d30, d31, d32)),
+    ) = t._pairs
+    w0, w1, w2, w3 = w = t.weights
+    pulls = (
+        _pull((-w1, -w2, -w3), (o10, o20, o30), (d10, d20, d30)),
+        _pull((w0, -w2, -w3), (o10, o21, o31), (d10, d21, d31)),
+        _pull((w0, w1, -w3), (o20, o21, o32), (d20, d21, d32)),
+        _pull((w0, w1, w2), (o30, o31, o32), (d30, d31, d32)),
+    )
+    margins = tuple(p - wi for p, wi in zip(pulls, w))
     # uniqueness of the minimizer allows at most one non-positive margin
     vertex = next((i for i, m in enumerate(margins) if m <= 0.0), None)
     return CaseLabel(vertex, margins)
@@ -60,7 +74,12 @@ def classify(t: WeightedTetrahedron) -> CaseLabel:
 def equilibrium_residual(t: WeightedTetrahedron, x) -> float:
     """Norm of the weighted unit-vector sum at x; zero exactly at a floating
     minimizer."""
-    pull, d = _pull(t, _point(x))
+    return _residual(t, *_offsets(t.vertices, _point(x)))
+
+
+def _residual(t: WeightedTetrahedron, v, d) -> float:
+    """equilibrium_residual from the offsets and distances of x to the
+    vertices."""
     if min(d) <= 1e-12 * t.max_edge():
         raise CoincidentPoints("x coincides with a vertex; residual undefined")
-    return pull
+    return _pull(t.weights, v, d)

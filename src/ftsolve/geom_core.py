@@ -64,16 +64,22 @@ class WeightedTetrahedron:
         w = _entries(self.weights, 4, "weights")
         if not all(0 < wi < math.inf for wi in w):
             raise ValueError("weights must be positive and finite")
-        edge = max(max(_offsets(v[:i], v[i])[1]) for i in range(1, 4))
+        # each vertex pair once: row i holds the offsets A_i - A_j and their
+        # lengths for j < i (row 0 is empty)
+        rows = [_offsets(v[:i], v[i]) for i in range(1, 4)]
+        pairs = (((), ()),) + tuple([(tuple(o), tuple(d)) for o, d in rows])
+        edge = max(max(d) for _, d in rows)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_max_edge", edge)
         if edge and not 2.0**-500 <= edge <= 2.0**500:  # _offsets' squares stay normal
             raise OutOfDomain(f"the largest edge, {edge}, is outside [2^-500, 2^500]")
         # the volume from edge vectors scaled by the power of two (exact)
         # that brings the largest edge into [0.5, 1), so a^3 stays in range
         a, e = math.frexp(edge)
-        edges, _ = _offsets(v[1:], v[0])
+        # of A_1 - A_0, A_2 - A_0 and A_3 - A_0
+        edges = (o[0] for o, _ in rows)
         (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = ([math.ldexp(c, -e) for c in o] for o in edges)
         vol6 = abs(ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx))
         # scale-invariant coplanarity test on the signed volume

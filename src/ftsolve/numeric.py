@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .equilibrium import classify, equilibrium_residual
+from .equilibrium import _residual, classify
 from .errors import NoConvergence
 from .geom_core import (
     FtSolution,
@@ -17,7 +17,6 @@ from .geom_core import (
     WeightedTetrahedron,
     _offsets,
     axial_distances,
-    objective,
 )
 
 __all__ = [
@@ -54,14 +53,23 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     short-circuit to the absorbing vertex.
     """
     label = classify(t)
-    if not label.floating:
-        vtx = t.vertices[label.vertex]
-        return FtSolution(
-            point=vtx,
-            objective=objective(t.vertices, t.weights, vtx),
-            residual=float("nan"),
-            vertex=label.vertex,
-        )
+    if label.floating:
+        return _solve_floating(t)
+    i = label.vertex
+    # |A_i - A_j| from the stored pairs: row i holds j < i, and row j holds
+    # j > i; fsum is correctly rounded, so the order of the terms is free
+    d = t._pairs[i][1] + tuple(dj[i] for _, dj in t._pairs[i + 1 :])
+    w = t.weights[:i] + t.weights[i + 1 :]
+    return FtSolution(
+        point=t.vertices[i],
+        objective=math.fsum(wj * dj for wj, dj in zip(w, d)),
+        residual=float("nan"),
+        vertex=i,
+    )
+
+
+def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
+    """weiszfeld on a tetrahedron already classified as floating."""
     edge, e = math.frexp(t.max_edge())
     stop = STEP_TOL * edge
     verts = [[math.ldexp(c, -e) for c in p] for p in t.vertices]
@@ -83,13 +91,16 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
             tv, td = _offsets(verts, trial)
             # a step that lands on a vertex, or leaves x where it is, would
             # only repeat this iteration
-            if trial == x or not _clear(td):
+            if trial == x or not all(0.0 < di < math.inf for di in td):
                 break
             step = trial, tv, td
         steps, step_len = steps + 1, math.dist(step[0], x)
         x, v, d = step
     point = tuple(math.ldexp(xk, e) for xk in x)
-    residual = equilibrium_residual(t, point)
+    # one pass over the vertices at the caller's scale for both the residual
+    # and the objective
+    v, d = _offsets(t.vertices, point)
+    residual = _residual(t, v, d)
     if residual > 1e-6 * total_w:
         raise NoConvergence(
             f"residual {residual:.3e} above threshold after {steps} step(s), "
@@ -97,7 +108,7 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
         )
     return FtSolution(
         point=point,
-        objective=objective(t.vertices, w, point),
+        objective=math.fsum(wi * di for wi, di in zip(w, d)),
         residual=residual,
     )
 
@@ -105,35 +116,35 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
 def _damped(w, verts, x, v, d, s):
     """The first of x + s, x + s/2, ... (HALVINGS halvings) that lies on no
     vertex and lowers the objective, with its offsets and distances; None
-    if there is none."""
+    if there is none.
+
+    With t = trial - x, the change f(x + t) - f(x) is summed from the
+    offsets v_i and distances d_i at x and the distances td_i at x + t as
+    w_i t.(2 v_i + t) / (d_i + td_i), with the same t for every vertex:
+    differencing f, or the offsets at the two points, would round away a
+    change this small near the minimizer."""
     frac = 1.0
     for _ in range(HALVINGS + 1):
         trial = [xk + frac * sk for xk, sk in zip(x, s)]
-        tv, td = _offsets(verts, trial)
-        taken = [tk - xk for tk, xk in zip(trial, x)]
-        if _clear(td) and _change(w, v, d, taken, td) < 0.0:
-            return trial, tv, td
+        tx, ty, tz = trial
+        sx, sy, sz = tx - x[0], ty - x[1], tz - x[2]
+        tv, td = [], []
+        change = 0.0
+        for wi, (ax, ay, az), (vx, vy, vz), di in zip(w, verts, v, d):
+            ox, oy, oz = tx - ax, ty - ay, tz - az
+            ti = math.sqrt(ox * ox + oy * oy + oz * oz)
+            # a trial on a vertex, or one that overflowed, is not taken
+            if not 0.0 < ti < math.inf:
+                break
+            tv.append((ox, oy, oz))
+            td.append(ti)
+            dot = sx * (vx + vx + sx) + sy * (vy + vy + sy) + sz * (vz + vz + sz)
+            change += wi * dot / (di + ti)
+        else:
+            if change < 0.0:
+                return trial, tv, td
         frac *= 0.5
     return None
-
-
-def _clear(d) -> bool:
-    """Whether every distance is positive and finite: the point lies on no
-    vertex and did not overflow."""
-    return all(0.0 < di < math.inf for di in d)
-
-
-def _change(w, v, d, s, td) -> float:
-    """f(x + s) - f(x) from the offsets v_i and distances d_i at x and the
-    distances td_i at x + s.  Each term is w_i s.(2 v_i + s) / (d_i + td_i),
-    with the same s for every vertex: differencing f, or the offsets at the
-    two points, would round away a change this small near the minimizer."""
-    sx, sy, sz = s
-    total = 0.0
-    for wi, (vx, vy, vz), di, ti in zip(w, v, d, td):
-        dot = sx * (vx + vx + sx) + sy * (vy + vy + sy) + sz * (vz + vz + sz)
-        total += wi * dot / (di + ti)
-    return total
 
 
 def _newton(w, v, d):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .equilibrium import classify
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
 from .geom_core import WeightedTetrahedron, _entries, _offsets, _point
-from .numeric import weiszfeld
+from .numeric import _solve_floating
 
 __all__ = [
     "PlasticityInstance",
@@ -47,8 +47,8 @@ class PlasticityInstance:
     def __post_init__(self):
         object.__setattr__(self, "a0", _point(self.a0))
         lam = _entries(self.lambdas, 4, "lambdas")
-        if not all(k > 0 for k in lam):
-            raise ValueError("stretch factors must be positive")
+        if not all(0 < k < math.inf for k in lam):
+            raise ValueError("stretch factors must be positive and finite")
         object.__setattr__(self, "lambdas", lam)
 
 
@@ -159,14 +159,19 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
     """Slide each vertex along its ray from a0 by its stretch factor.
 
     The stretched tetrahedron keeps the base weights and must remain in the
-    floating case; otherwise FloatingViolated is raised.
+    floating case; otherwise FloatingViolated is raised.  OutOfDomain is
+    raised when a stretched vertex overflows.
     """
     # A_i' = a0 - lambda_i (a0 - A_i)
     offsets, _ = _offsets(p.base.vertices, p.a0)
     new_vertices = [
         [ck - lam * ok for ck, ok in zip(p.a0, o)] for lam, o in zip(p.lambdas, offsets)
     ]
-    stretched = WeightedTetrahedron(new_vertices, p.base.weights)
+    try:
+        stretched = WeightedTetrahedron(new_vertices, p.base.weights)
+    except ValueError as e:
+        # the base weights are valid, so a coordinate is not finite
+        raise OutOfDomain("a stretched vertex exceeds the float range") from e
     if not classify(stretched).floating:
         raise FloatingViolated("stretched tetrahedron left the floating case")
     return stretched
@@ -175,5 +180,10 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
 def verify_invariance(p: PlasticityInstance) -> float:
     """Re-solve the stretched tetrahedron numerically and report how far its
     minimizer moved from a0 (should be ~0)."""
-    sol = weiszfeld(stretch(p))
-    return _offsets((p.a0,), sol.point)[1][0]
+    return _displacement(p, stretch(p))
+
+
+def _displacement(p: PlasticityInstance, stretched: WeightedTetrahedron) -> float:
+    """How far the minimizer of stretch(p), already classified as floating,
+    lies from a0."""
+    return _offsets((p.a0,), _solve_floating(stretched).point)[1][0]

@@ -145,6 +145,24 @@ def test_plasticity(capsys, symmetric_file):
     assert payload["displacement"] < 1e-6
 
 
+@pytest.mark.parametrize("lam", ["0,1,1,1", "nan,1,1,1", "inf,1,1,1", "-1,1,1,1"])
+def test_plasticity_rejects_stretch_factors_not_finite_positive(capsys, symmetric_file, lam):
+    # each printed a ValueError traceback with exit 1; inf was accepted by
+    # PlasticityInstance, the others were rejected there but not caught
+    code, out, err = run(capsys, ["plasticity", "--input", symmetric_file(), f"--lambda={lam}"])
+    assert (code, out) == (1, "")
+    assert err == "error: --lambda expects four comma-separated positive numbers\n"
+
+
+def test_plasticity_stretch_beyond_the_float_range(capsys, symmetric_file):
+    # a finite factor that sends a vertex past the float range printed a
+    # ValueError traceback with exit 1
+    argv = ["plasticity", "--input", symmetric_file(a=10.0), "--lambda", "1e308,1,1,1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "solver error: a stretched vertex exceeds the float range\n"
+
+
 @pytest.mark.parametrize("ratio", [5.0, 25.0, 200.0])
 def test_plasticity_when_foot_lies_beyond_a2(capsys, symmetric_file, ratio):
     # the foot of the height from A0 onto line A1'A2' lies beyond A2' here;

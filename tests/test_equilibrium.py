@@ -5,6 +5,7 @@ import pytest
 
 from ftsolve import (
     CoincidentPoints,
+    DegenerateTetrahedron,
     WeightedTetrahedron,
     classify,
     embed_regular,
@@ -90,3 +91,42 @@ def test_residual_at_vertex_raises():
     t = regular_tet([1.0, 1.0, 1.0, 1.0])
     with pytest.raises(CoincidentPoints):
         equilibrium_residual(t, t.vertices[2])
+
+
+def per_vertex_margins(t):
+    """The margins by the loop classify ran before the vertex pairs were
+    stored: at each A_i, the offsets A_i - A_j to all four vertices, the
+    pull summed in vertex order with the zero distance to A_i skipped."""
+    margins = []
+    for a, wa in zip(t.vertices, t.weights):
+        px = py = pz = 0.0
+        for b, wb in zip(t.vertices, t.weights):
+            vx, vy, vz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+            d = math.sqrt(vx * vx + vy * vy + vz * vz)
+            if d:
+                px += wb * vx / d
+                py += wb * vy / d
+                pz += wb * vz / d
+        margins.append(math.sqrt(px * px + py * py + pz * pz) - wa)
+    return tuple(margins)
+
+
+def test_margins_from_the_stored_pairs_equal_the_per_vertex_loop():
+    # classify reads each pair once and takes u_ji = -u_ij by negating the
+    # weight, which is exact, so the margins must match bit for bit
+    rng = np.random.default_rng(12)
+    checked = absorbed = 0
+    while checked < 1200:
+        k = (0, 0, 400, -400)[checked % 4]
+        vertices = [[math.ldexp(c, k) for c in p] for p in rng.uniform(-1.0, 1.0, size=(4, 3))]
+        try:
+            t = WeightedTetrahedron(vertices, np.exp(rng.uniform(-2.0, 2.0, size=4)))
+        except DegenerateTetrahedron:
+            continue
+        label = classify(t)
+        margins = per_vertex_margins(t)
+        assert label.margins == margins
+        assert label.vertex == next((i for i, m in enumerate(margins) if m <= 0.0), None)
+        checked += 1
+        absorbed += not label.floating
+    assert 0 < absorbed < checked

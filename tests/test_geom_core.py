@@ -157,14 +157,28 @@ def test_weighted_tetrahedron_rejects_weights_not_finite_positive(bad):
         WeightedTetrahedron(embed_regular(1.0), [bad, 1.0, 1.0, 1.0])
 
 
-@pytest.mark.parametrize("field", ["vertices", "weights"])
+@pytest.mark.parametrize("field", ["vertices", "weights", "_pairs"])
 def test_weighted_tetrahedron_is_frozen(field):
-    # an assignment once went unvalidated, and max_edge kept the old value
+    # an assignment once went unvalidated, and max_edge kept the old value;
+    # classify and weiszfeld read the vertex pairs stored at construction
     t = WeightedTetrahedron(embed_regular(1.0), [1.0] * 4)
     before = getattr(t, field)
     with pytest.raises(FrozenInstanceError):
         setattr(t, field, ((0.0, 0.0, 0.0),) * 4 if field == "vertices" else (2.0,) * 4)
     assert getattr(t, field) == before and t.max_edge() == pytest.approx(1.0, rel=1e-15)
+
+
+def test_weighted_tetrahedron_stores_each_vertex_pair_once():
+    # row i holds the offsets A_i - A_j and their lengths for j < i, as
+    # tuples, so the frozen record holds nothing mutable
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    t = WeightedTetrahedron(v, [1.0] * 4)
+    assert len(t._pairs) == 4 and t._pairs[0] == ((), ())
+    for i, (offsets, distances) in enumerate(t._pairs):
+        assert type(offsets) is tuple and type(distances) is tuple
+        assert offsets == tuple(tuple(v[i] - v[j]) for j in range(i))
+        assert distances == tuple(math.sqrt(sum(c * c for c in o)) for o in offsets)
+    assert t.max_edge() == math.sqrt(13.0)
 
 
 @pytest.mark.parametrize(

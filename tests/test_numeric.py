@@ -248,6 +248,28 @@ def test_weiszfeld_commutes_with_power_of_two_scaling(k):
         assert sol.point == tuple(math.ldexp(c, k) for c in ref.point)
 
 
+@pytest.mark.parametrize("k", [0, -400, 400])
+def test_solution_objective_and_residual_are_those_of_the_point(k):
+    # the finish computes the residual and the objective from one pass over
+    # the vertices, and an absorbed objective comes from the stored pairs;
+    # both must equal the public functions at the returned point bit for bit
+    rng = np.random.default_rng(47)
+    base = embed_regular(1.0)
+    seen = {"floating": 0, "absorbed": 0}
+    while min(seen.values()) < 40:
+        t = WeightedTetrahedron(
+            [[math.ldexp(c, k) for c in p] for p in base + rng.uniform(-0.3, 0.3, size=(4, 3))],
+            np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=4)),
+        )
+        sol = weiszfeld(t)
+        seen[sol.case] += 1
+        assert sol.objective == objective(t.vertices, t.weights, sol.point)
+        if sol.case == "floating":
+            assert sol.residual == equilibrium_residual(t, sol.point)
+        else:
+            assert sol.point == t.vertices[sol.vertex] and math.isnan(sol.residual)
+
+
 def test_newton_step_onto_a_vertex_falls_back(monkeypatch):
     # A1 is the origin.  The weights (1.6, 1, 1, 1) float (the margin at A1 is
     # sqrt(3) - 1.6), and f(A1) = 3 is below f = 3.12 at the weighted mean, so

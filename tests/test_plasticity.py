@@ -7,6 +7,7 @@ from ftsolve import (
     DegenerateTriangle,
     DihedralData,
     FloatingViolated,
+    OutOfDomain,
     PlasticityInstance,
     SymmetricInstance,
     dihedral_alpha,
@@ -169,8 +170,28 @@ def test_stretch_rejects_absorbed():
     from ftsolve import WeightedTetrahedron, embed_regular
 
     tet = WeightedTetrahedron(embed_regular(1.0), [1.0, 1.0, 1.0, 3.0])
+    inst = make_instance(tet, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(FloatingViolated):
-        stretch(make_instance(tet, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]))
+        stretch(inst)
+    # the re-solve skips a second classify and relies on this check
+    with pytest.raises(FloatingViolated):
+        verify_invariance(inst)
+
+
+def test_stretch_past_the_float_range_is_out_of_domain():
+    # the stretched A1 would sit at x = -5e308; this was a bare ValueError
+    inst = SymmetricInstance(a=10.0, b1=2.5, b4=1.0)
+    p = make_instance(inst.tetrahedron(), solve_symmetric(inst).point, [1e308, 1.0, 1.0, 1.0])
+    with pytest.raises(OutOfDomain, match="float range"):
+        stretch(p)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_stretch_factors_must_be_positive_and_finite(ref_setup, bad):
+    # an infinite factor was accepted and stretched its vertex to infinity
+    tet, a0 = ref_setup
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_instance(tet, a0, [1.0, bad, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("lambdas", [(1, 1, 1, 2), (1, 1, 2, 2), (3, 0.5, 2, 1)])
