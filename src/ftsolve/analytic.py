@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EqualWeights, FtSolveError
-from .geom_core import FtSolution, SymmetricInstance, axial_distances
+from .geom_core import SQRT2, FtSolution, SymmetricInstance, _axial_slope, axial_distances
 
 __all__ = [
     "QuarticCoefficients",
@@ -34,9 +34,6 @@ __all__ = [
     "complementary_axial",
     "solve_symmetric",
 ]
-
-SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class QuarticCoefficients:
@@ -75,19 +72,6 @@ def quartic_coefficients(inst: SymmetricInstance) -> QuarticCoefficients:
             f"c4={q.c4}, c1={q.c1}, c0={q.c0}"
         )
     return q
-
-
-def _stationarity(b1: float, b4: float, y: float) -> float:
-    """f(y) = b1 (y-c)/a01 + b4 (y+c)/a04 at a = 1.
-
-    Both terms of the plain f are of the weights' size and nearly cancel
-    at the root when b1 ~ b4.  Splitting b1 = (b1 - b4) + b4 and
-    rationalizing (y-c)/a01 + (y+c)/a04 leaves two terms that are each
-    accurate, valid for either order of the weights.
-    """
-    c = SQRT2 / 4.0
-    a01, a04 = math.hypot(0.5, c - y), math.hypot(0.5, c + y)
-    return (b1 - b4) * (y - c) / a01 + b4 * c * y / (a01 * a04 * ((c + y) * a01 + (c - y) * a04))
 
 
 def _axial_roots(inst: SymmetricInstance) -> tuple[float, float] | None:
@@ -166,6 +150,6 @@ def solve_symmetric(inst: SymmetricInstance) -> FtSolution:
     return FtSolution(
         point=(0.0, 0.0, y),
         objective=objective,
-        residual=2.0 * abs(_stationarity(inst.b1, inst.b4, y / inst.a)),
+        residual=2.0 * abs(_axial_slope(inst.b1, inst.b4, y / inst.a, 1)),
         y=y,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveEdge
+from .geom_core import SQRT2, _edge
 
 __all__ = ["AngleSet", "angles_at"]
 
@@ -36,14 +36,13 @@ class AngleSet:
 
 def angles_at(a: float, y: float) -> AngleSet:
     """Angles subtended by the edges at the axial point with coordinate y."""
-    if not (a > 0):
-        raise NonPositiveEdge(f"edge length must be positive, got {a}")
+    _edge(a)  # the check; c is taken at the scaled edge below
     a, e = math.frexp(a)
     y = math.ldexp(y, -e)
-    c = a * math.sqrt(2.0) / 4.0
+    c = _edge(a)
     half = a / 2.0
     return AngleSet(
         alpha_102=2.0 * math.atan2(half, c - y),
         alpha_304=2.0 * math.atan2(half, c + y),
-        alpha_cross=math.atan2(half * math.sqrt(2.0) * math.hypot(half, y), (y - c) * (y + c)),
+        alpha_cross=math.atan2(half * SQRT2 * math.hypot(half, y), (y - c) * (y + c)),
     )

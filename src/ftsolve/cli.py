@@ -50,29 +50,31 @@ def load_instance(path: str) -> SymmetricInstance | WeightedTetrahedron:
     "symmetric-regular", a WeightedTetrahedron for mode "general"."""
     try:
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+            data = json.load(f, parse_int=float)  # a huge integer reads as inf
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nesting too deep
         raise InputError(f"invalid JSON in {path}: {e}") from e
     if not isinstance(data, dict) or "mode" not in data:
         raise InputError("instance file must be an object with a 'mode' field")
     mode = data["mode"]
-    if mode == "symmetric-regular":
-        try:
-            inst = SymmetricInstance(
-                a=float(data["a"]), b1=float(data["b1"]), b4=float(data["b4"])
-            )
-        except (KeyError, TypeError, ValueError, FtSolveError) as e:
-            raise InputError(f"bad symmetric-regular instance: {e}") from e
-        return inst
-    if mode == "general":
-        try:
-            tet = WeightedTetrahedron(data["vertices"], data["weights"])
-        except (KeyError, TypeError, ValueError, FtSolveError) as e:
-            raise InputError(f"bad general instance: {e}") from e
-        return tet
+    try:
+        if mode == "symmetric-regular":
+            return SymmetricInstance(*(_numbers(data[k], 0) for k in ("a", "b1", "b4")))
+        if mode == "general":
+            return WeightedTetrahedron(_numbers(data["vertices"], 2), _numbers(data["weights"], 1))
+    except (KeyError, TypeError, ValueError, FtSolveError) as e:
+        raise InputError(f"bad {mode} instance: {e}") from e
     raise InputError(f"unknown mode {mode!r}")
+
+
+def _numbers(x, depth: int):
+    """x with its entries depth lists deep checked to be numbers (float() takes true, "1")."""
+    if depth:
+        return [_numbers(v, depth - 1) for v in x] if isinstance(x, list) else x
+    if type(x) is not float:
+        raise ValueError(f"expected a number, got {json.dumps(x)}")
+    return x
 
 
 def require_symmetric(inst) -> SymmetricInstance:
@@ -201,9 +203,8 @@ def cmd_sweep(args) -> int:
         raise InputError("need finite 0 < ratio-min <= ratio-max")
     if not (0 < args.ratio_min * inst.b4 and args.ratio_max * inst.b4 < math.inf):
         raise InputError("ratio-min * b4 and ratio-max * b4 must be positive finite weights")
-    ratios = _ratios(args.ratio_min, args.ratio_max, args.steps)
     sys.stdout.write("ratio,y,y_complementary,objective,alpha102,alpha304,alpha_cross\n")
-    for r in ratios:
+    for r in _ratios(args.ratio_min, args.ratio_max, args.steps):
         row = SymmetricInstance(inst.a, r * inst.b4, inst.b4)
         sol = solve_symmetric(row)
         try:
@@ -216,12 +217,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _ratios(start: float, stop: float, steps: int) -> list[float]:
+def _ratios(start: float, stop: float, steps: int):
     """steps values start + i * step, the last exactly stop (as linspace)."""
-    if steps == 1:
-        return [start]
-    step = (stop - start) / (steps - 1)
-    return [start + i * step for i in range(steps - 1)] + [stop]
+    step = (stop - start) / max(steps - 1, 1)
+    yield from (start + i * step for i in range(steps - 1))
+    yield stop if steps > 1 else start
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,14 +37,12 @@ class CaseLabel:
 
 def _pull(w, v, d) -> float:
     """Length of the weighted unit-vector pull sum_j w_j (x - A_j)/|x - A_j|,
-    summed in order from the offsets v_j = x - A_j and distances d_j; a
-    vertex at distance zero adds nothing."""
+    summed in order from the offsets v_j = x - A_j and distances d_j."""
     px = py = pz = 0.0
     for wi, (vx, vy, vz), di in zip(w, v, d):
-        if di:
-            px += wi * vx / di
-            py += wi * vy / di
-            pz += wi * vz / di
+        px += wi * vx / di
+        py += wi * vy / di
+        pz += wi * vz / di
     return math.sqrt(px * px + py * py + pz * pz)
 
 

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 COPLANARITY_RTOL = 1e-12
+SQRT2 = math.sqrt(2.0)
 
 
 def _entries(values, n: int, what: str, entry=float) -> tuple:
@@ -44,6 +45,33 @@ def _point(p) -> tuple[float, float, float]:
     if not all(map(math.isfinite, x)):
         raise ValueError("point coordinates must be finite")
     return x
+
+
+def _edge(a: float) -> float:
+    """c = a*sqrt(2)/4 (see SymmetricInstance.c); NonPositiveEdge unless 0 < a < inf."""
+    if not 0 < a < math.inf:
+        raise NonPositiveEdge(f"edge length must be positive and finite, got {a}")
+    return a * SQRT2 / 4.0
+
+
+def _axial_slope(b1: float, b4: float, y: float, sign4: int) -> float:
+    """b1 (y-c)/a01 + sign4 b4 (y+c)/a04, the slope of b1 a01 + sign4 b4 a04 at
+    a = 1 (and so at edge a and point a y), as (b1 - b4)(y-c)/a01 + b4 g: nothing
+    cancels near b1 = b4.  Where the terms of g differ in sign (|y| < c for +1,
+    |y| > c for -1), g is rationalized by (y+c)^2 a01^2 - (y-c)^2 a04^2 = c y;
+    where they agree it is summed as is (rationalized, 0/0 at -1, y = 0)."""
+    c = SQRT2 / 4.0
+    a01, a04 = math.hypot(0.5, c - y), math.hypot(0.5, c + y)
+    if (abs(y) < c) == (sign4 > 0):
+        bg = b4 * c * y / (a01 * a04 * ((c - y) * a04 + sign4 * (c + y) * a01))
+    else:
+        bg = b4 * ((y - c) / a01 + sign4 * (y + c) / a04)
+    return (b1 - b4) * (y - c) / a01 + bg
+
+
+def _lengths(points):
+    """Pairwise distances, without the squares that overflow or round to 0."""
+    return [math.dist(p, q) for i, p in enumerate(points) for q in points[:i]]
 
 
 def _offsets(points, x):
@@ -68,13 +96,15 @@ class WeightedTetrahedron:
         # lengths for j < i (row 0 is empty)
         rows = [_offsets(v[:i], v[i]) for i in range(1, 4)]
         pairs = (((), ()),) + tuple([(tuple(o), tuple(d)) for o, d in rows])
-        edge = max(max(d) for _, d in rows)
+        lengths = [x for _, d in rows for x in d]
+        edge = max(lengths)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_max_edge", edge)
-        if edge and not 2.0**-500 <= edge <= 2.0**500:  # _offsets' squares stay normal
-            raise OutOfDomain(f"the largest edge, {edge}, is outside [2^-500, 2^500]")
+        # _offsets' squares stay normal; only coincident vertices measure 0
+        if not 2.0**-500 <= edge <= 2.0**500 and (longest := max(_lengths(v))):
+            raise OutOfDomain(f"the largest edge, {longest}, is outside [2^-500, 2^500]")
         # the volume from edge vectors scaled by the power of two (exact)
         # that brings the largest edge into [0.5, 1), so a^3 stays in range
         a, e = math.frexp(edge)
@@ -85,6 +115,9 @@ class WeightedTetrahedron:
         # scale-invariant coplanarity test on the signed volume
         if vol6 / 6.0 <= COPLANARITY_RTOL * a**3:
             raise DegenerateTetrahedron("vertices are coplanar within tolerance")
+        # edges down to 7e-12 of the largest pass, and squares can round to 0 below 2.8e-162
+        if 0.0 in lengths:
+            raise OutOfDomain(f"the shortest edge, {min(_lengths(v))}, squares to 0")
 
     def max_edge(self) -> float:
         """The largest edge length, measured once at construction."""
@@ -101,15 +134,14 @@ class SymmetricInstance:
     b4: float
 
     def __post_init__(self):
-        if not 0 < self.a < math.inf:
-            raise NonPositiveEdge(f"edge length must be positive and finite, got {self.a}")
+        _edge(self.a)
         if not (0 < self.b1 < math.inf and 0 < self.b4 < math.inf):
             raise ValueError("weights must be positive and finite")
 
     @property
     def c(self) -> float:
         """Half-length of the common perpendicular: a*sqrt(2)/4."""
-        return self.a * math.sqrt(2.0) / 4.0
+        return _edge(self.a)
 
     def tetrahedron(self) -> WeightedTetrahedron:
         return WeightedTetrahedron(embed_regular(self.a), (self.b1, self.b1, self.b4, self.b4))
@@ -119,9 +151,7 @@ def embed_regular(a: float) -> tuple[tuple[float, float, float], ...]:
     """The four vertices of a regular tetrahedron of edge a in the canonical
     frame: the midpoints of edges A1A2 and A3A4 sit at +-c on the z axis,
     c = a*sqrt(2)/4."""
-    if not (a > 0):
-        raise NonPositiveEdge(f"edge length must be positive, got {a}")
-    c = a * math.sqrt(2.0) / 4.0
+    c = _edge(a)
     h = a / 2.0
     return (-h, 0.0, c), (h, 0.0, c), (0.0, -h, -c), (0.0, h, -c)
 
@@ -129,12 +159,8 @@ def embed_regular(a: float) -> tuple[tuple[float, float, float], ...]:
 def axial_distances(a: float, y: float) -> tuple[float, float]:
     """Distances from the axial point at coordinate y to the A1/A2 pair
     (a01) and to the A3/A4 pair (a04)."""
-    if not (a > 0):
-        raise NonPositiveEdge(f"edge length must be positive, got {a}")
-    c = a * math.sqrt(2.0) / 4.0
-    a01 = math.hypot(a / 2.0, c - y)
-    a04 = math.hypot(a / 2.0, c + y)
-    return a01, a04
+    c = _edge(a)
+    return math.hypot(a / 2.0, c - y), math.hypot(a / 2.0, c + y)
 
 
 def objective(points, weights, x) -> float:

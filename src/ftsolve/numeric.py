@@ -12,9 +12,11 @@ import math
 from .equilibrium import _residual, classify
 from .errors import NoConvergence
 from .geom_core import (
+    SQRT2,
     FtSolution,
     SymmetricInstance,
     WeightedTetrahedron,
+    _axial_slope,
     _offsets,
     axial_distances,
 )
@@ -197,33 +199,22 @@ def reduced_objective(inst: SymmetricInstance, y: float, sign4: int = 1) -> floa
 
 
 def minimize_reduced(inst: SymmetricInstance) -> float:
-    """Minimizer of the reduced objective on [-c, c], by bisection of its
-    slope down to a bracket of 1e-14 * a.
-
-    The reduced objective is strictly convex in y for positive weights, so
-    its slope increases from -2 b1 c / a01 < 0 at -c to 2 b4 c / a04 > 0
-    at c.  The loop also ends when the bracket can no longer be halved,
-    which happens first at subnormal edge lengths.
-    """
-    lo, hi = -inst.c, inst.c
+    """Minimizer of the reduced objective on [-c, c]: a times the bisection of
+    its slope at a = 1 down to a bracket of 1e-14.  For positive weights the
+    objective is strictly convex in y, so its slope increases from
+    -2 b1 c / a01 < 0 at -c to 2 b4 c / a04 > 0 at c."""
+    lo, hi = -SQRT2 / 4.0, SQRT2 / 4.0
     mid = 0.0
-    while hi - lo > 1e-14 * inst.a and lo < mid < hi:
-        if _slope(inst, mid, 1) > 0.0:
+    while hi - lo > 1e-14:
+        if _axial_slope(inst.b1, inst.b4, mid, 1) > 0.0:
             hi = mid
         else:
             lo = mid
         mid = 0.5 * (lo + hi)
-    return mid
+    return inst.a * mid
 
 
 def stationarity_defect(inst: SymmetricInstance, y: float) -> float:
     """Slope of b1*a01(y) - b4*a04(y); negative near y = c+, positive for
     large y when b1 > b4, and zero at the signed-weight critical point."""
-    return _slope(inst, y, -1)
-
-
-def _slope(inst: SymmetricInstance, y: float, sign4: int) -> float:
-    """Derivative of reduced_objective(inst, y, sign4) in y."""
-    a01, a04 = axial_distances(inst.a, y)
-    c = inst.c
-    return inst.b1 * (y - c) / a01 + sign4 * inst.b4 * (y + c) / a04
+    return _axial_slope(inst.b1, inst.b4, y / inst.a, -1)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,16 @@ def test_plasticity_stretch_beyond_the_float_range(capsys, symmetric_file):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == "solver error: a stretched vertex exceeds the float range\n"
+
+
+def test_plasticity_stretch_whose_edge_squares_overflow(capsys, symmetric_file):
+    # the stretched edge is about 5e200, but its square overflowed and the
+    # message read "the largest edge, inf"
+    argv = ["plasticity", "--input", symmetric_file(a=10.0), "--lambda", "1e200,1,1,1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("solver error: the largest edge, ") and "inf" not in err
+    assert 4e200 < float(err.split(", ")[1]) < 6e200
 
 
 @pytest.mark.parametrize("ratio", [5.0, 25.0, 200.0])
@@ -363,7 +374,21 @@ def test_sweep_schema_and_monotonicity(capsys, symmetric_file):
 @pytest.mark.parametrize("lo, hi", [(1.0001, 50.0), (1e-7, 1e7)])
 @pytest.mark.parametrize("steps", [1, 2, 3000])
 def test_sweep_ratios_match_linspace(lo, hi, steps):
-    assert _ratios(lo, hi, steps) == np.linspace(lo, hi, steps).tolist()
+    assert list(_ratios(lo, hi, steps)) == np.linspace(lo, hi, steps).tolist()
+
+
+def test_sweep_ratios_are_not_held_in_memory():
+    # as a list, a million ratios peaked at 40 MB before the first row
+    tracemalloc.start()
+    try:
+        last = None
+        for last in _ratios(1.0, 2.0, 10**6):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert last == 2.0
+    assert peak < 2**20
 
 
 # runs every subcommand in a process where importing numpy fails
@@ -440,6 +465,53 @@ def test_malformed_general_instance(capsys, tmp_path, sub, vertices, weights):
     assert code == 1 and out == ""
     assert err.startswith("error: bad general instance")
     assert "Traceback" not in err
+
+
+NOT_NUMBERS = {
+    "true-weight": {"mode": "general", "vertices": UNIT_VERTICES, "weights": [True, 1, 1, 1]},
+    "string-weight": {"mode": "general", "vertices": UNIT_VERTICES, "weights": [1, "1", 1, 1]},
+    "false-coordinate": {
+        "mode": "general",
+        "vertices": [[0, 0, 0], [1, False, 0], [0, 1, 0], [0, 0, 1]],
+        "weights": [1, 1, 1, 1],
+    },
+    "true-edge": {"mode": "symmetric-regular", "a": True, "b1": 2.5, "b4": 1},
+    "string-weight-b4": {"mode": "symmetric-regular", "a": 1, "b1": 2.5, "b4": "1"},
+}
+
+
+@pytest.mark.parametrize("sub", ["solve", "classify"])
+@pytest.mark.parametrize("instance", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_booleans_and_strings_are_not_numbers(capsys, tmp_path, sub, instance):
+    # float() read true as 1 and "1" as 1, and these solved with exit 0
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run(capsys, [sub, "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad ") and "expected a number" in err
+
+
+@pytest.mark.parametrize("field", ["a", "b1", "b4"])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_integer_too_large_for_a_float(capsys, tmp_path, field, sign):
+    # float(int) raised OverflowError, reported as a solver failure (exit 2)
+    values = {"a": "1", "b1": "2.5", "b4": "1", field: sign + "9" * 400}
+    text = '{"mode": "symmetric-regular", ' + ", ".join(f'"{k}": {v}' for k, v in values.items())
+    path = tmp_path / "instance.json"
+    path.write_text(text + "}")
+    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad symmetric-regular instance")
+    assert "Traceback" not in err
+
+
+def test_json_nested_too_deep(capsys, tmp_path):
+    # json.load raises RecursionError, which escaped as a traceback
+    path = tmp_path / "instance.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid JSON")
 
 
 @pytest.mark.parametrize("sub", ["solve", "classify", "sweep"])

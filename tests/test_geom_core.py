@@ -10,6 +10,7 @@ from ftsolve import (
     OutOfDomain,
     SymmetricInstance,
     WeightedTetrahedron,
+    angles_at,
     axial_distances,
     embed_regular,
     objective,
@@ -205,3 +206,47 @@ def test_symmetric_instance_validation():
         SymmetricInstance(a=1.0, b1=0.0, b4=1.0)
     inst = SymmetricInstance(a=2.0, b1=2.0, b4=1.0)
     assert inst.c == pytest.approx(math.sqrt(2) / 2)
+
+
+def test_largest_edge_message_measures_the_edge_without_squaring():
+    # its squares overflow: the message once read "the largest edge, inf"
+    with pytest.raises(OutOfDomain, match="largest edge") as err:
+        WeightedTetrahedron(embed_regular(1e200), [2.0, 1.3, 1.1, 0.7])
+    assert "inf" not in str(err.value)
+    assert float(str(err.value).split(", ")[1]) == pytest.approx(1e200, rel=1e-15)
+
+
+@pytest.mark.parametrize("t", [1.3e-162, 1.5e-162, 1.56e-162])
+def test_an_edge_whose_squares_round_to_zero_is_out_of_domain(t):
+    # A0A1 = t * (1, 1, 1) has length above 6.9e-12 of the largest edge
+    # (2^-500, an equilateral A0A2A3 normal to it), so the tetrahedron is
+    # not coplanar, yet each square rounds to 0: the pair distance read 0,
+    # and classify left that pair out of its margins
+    s = 2.0**-500 * 1.0000001
+    e1 = (1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
+    e2 = (1 / math.sqrt(6), 1 / math.sqrt(6), -2 / math.sqrt(6))
+    a2 = tuple(s * x for x in e1)
+    a3 = tuple(s * (0.5 * x + math.sqrt(3) / 2 * z) for x, z in zip(e1, e2))
+    with pytest.raises(OutOfDomain, match="shortest edge") as err:
+        WeightedTetrahedron([(0.0, 0.0, 0.0), (t, t, t), a2, a3], [1.0] * 4)
+    assert float(str(err.value).split(", ")[1]) == pytest.approx(t * math.sqrt(3), rel=1e-15)
+
+
+@pytest.mark.parametrize("a", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [embed_regular, lambda a: axial_distances(a, 0.0), lambda a: angles_at(a, 0.0)],
+    ids=["embed_regular", "axial_distances", "angles_at"],
+)
+def test_axial_frame_rejects_edges_not_finite(call, a):
+    # only a > 0 was tested here: angles_at(inf, 0) gave 90, 90 and 135 degrees
+    with pytest.raises(NonPositiveEdge, match="positive and finite"):
+        call(a)
+
+
+def test_edges_whose_squares_all_round_to_zero_are_out_of_domain():
+    # every distance measured 0, and the tetrahedron was called coplanar
+    with pytest.raises(OutOfDomain, match="largest edge, 1e-163,"):
+        WeightedTetrahedron(embed_regular(1e-163), [1.0] * 4)
+    with pytest.raises(DegenerateTetrahedron):
+        WeightedTetrahedron([(1e-163, 0.0, 0.0)] * 4, [1.0] * 4)

@@ -9,6 +9,7 @@ from ftsolve import (
     SymmetricInstance,
     WeightedTetrahedron,
     classify,
+    complementary_axial,
     embed_regular,
     equilibrium_residual,
     ft_axial,
@@ -291,3 +292,23 @@ def test_newton_step_onto_a_vertex_falls_back(monkeypatch):
     sol = weiszfeld(t)
     assert sol.case == "floating" and 0.0 not in calls
     assert equilibrium_residual(t, sol.point) <= 1e-12 * np.sum(t.weights)
+
+
+@pytest.mark.parametrize("k", [3, 6, 9, 12])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("heavy", ["b1", "b4"])
+def test_stationarity_defect_is_relative_to_the_weight_difference(k, a, heavy):
+    # the plain slope at the caller's scale reached 1.1e-4 * |b1 - b4| at
+    # k = 12, a = 1e3
+    ratio = 1.0 + 10.0**-k
+    b1, b4 = (ratio, 1.0) if heavy == "b1" else (1.0, ratio)
+    inst = SymmetricInstance(a=a, b1=b1, b4=b4)
+    defect = numeric.stationarity_defect(inst, complementary_axial(inst))
+    assert abs(defect) <= 1e-15 * abs(b1 - b4)
+
+
+def test_stationarity_defect_at_the_midpoint():
+    # the rationalized form of the signed slope is 0/0 at y = 0; there the
+    # slope is -(b1 + b4) c / a01 = -(b1 + b4) / sqrt(3)
+    defect = numeric.stationarity_defect(REF, 0.0)
+    assert defect == pytest.approx(-(REF.b1 + REF.b4) / math.sqrt(3), rel=1e-15)

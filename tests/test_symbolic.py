@@ -141,3 +141,19 @@ def test_cancellation_free_r_and_interior_root():
     assert reduced(R - r_kernel, (RESOLVENT, e)) == 0
     interior = 3 * m / (16 * (m**3 + e) * (m + r))
     assert reduced(interior - (m - r) / 2, (r**2 - R, r), (RESOLVENT, e)) == 0
+
+
+@pytest.mark.parametrize("sign4", [1, -1])
+def test_axial_slope_rationalization(sign4):
+    # geom_core._axial_slope: with g = (y-c)/a01 + sign4 (y+c)/a04,
+    # g a01 a04 ((c-y) a04 + sign4 (c+y) a01) = (y+c)^2 a01^2 - (y-c)^2 a04^2
+    # = 4 h c y, which is c y at a = 1
+    c, h = a * sp.sqrt(2) / 4, a**2 / 4
+    a01, a04 = sp.symbols("a01 a04", positive=True)
+    numerator = (y - c) * a04 + sign4 * (y + c) * a01  # g a01 a04
+    product = sp.expand(numerator * ((c - y) * a04 + sign4 * (c + y) * a01))
+    difference = (y + c) ** 2 * a01**2 - (y - c) ** 2 * a04**2
+    assert sp.expand(product - difference) == 0
+    squares = {a01**2: h + (c - y) ** 2, a04**2: h + (c + y) ** 2}
+    assert sp.expand(difference.subs(squares) - 4 * h * c * y) == 0
+    assert (4 * h * c).subs(a, 1) == c.subs(a, 1)
