@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Reads a JSON instance file, runs the requested solver, and prints either
-human-readable lines or (with --json) a machine-readable object.  The sweep
-subcommand emits a CSV table over a range of weight ratios.  All numbers are
-printed with 9 significant digits.
+key=value lines or (with --json) one JSON object at full precision.  The
+sweep subcommand writes a CSV table over a range of weight ratios.  Text
+lines and CSV cells print floats with 9 significant digits, except the rows
+of plasticity's stretched_vertices, which print as lists at full precision.
 
-Exit codes: 0 success, 1 input parse/schema error, 2 solver failure.
+Each cmd_* computes its payload from the loaded instance; main alone loads
+the file, prints, and sets the exit code: 0 success, 1 input error or a
+reader that closed stdout, 2 solver failure.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -24,12 +28,12 @@ from .geom_core import SymmetricInstance, WeightedTetrahedron
 from .numeric import stationarity_defect, weiszfeld
 from .plasticity import (
     PlasticityInstance,
-    _displacement,
     dihedral_alpha,
     height_012,
     measure_dihedral_data,
     predict_a04p,
     stretch,
+    verify_invariance,
 )
 
 EXIT_INPUT = 1
@@ -53,7 +57,8 @@ def load_instance(path: str) -> SymmetricInstance | WeightedTetrahedron:
             data = json.load(f, parse_int=float)  # a huge integer reads as inf
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nesting too deep
+    # RecursionError: nesting too deep
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise InputError(f"invalid JSON in {path}: {e}") from e
     if not isinstance(data, dict) or "mode" not in data:
         raise InputError("instance file must be an object with a 'mode' field")
@@ -77,13 +82,14 @@ def _numbers(x, depth: int):
     return x
 
 
-def require_symmetric(inst) -> SymmetricInstance:
+def require_symmetric(inst) -> None:
     if not isinstance(inst, SymmetricInstance):
         raise InputError("this subcommand requires a symmetric-regular instance")
-    return inst
 
 
 def emit(payload: dict, as_json: bool):
+    """Print the entries of payload that are not None."""
+    payload = {k: v for k, v in payload.items() if v is not None}
     if as_json:
         print(json.dumps(payload))
         return
@@ -95,64 +101,46 @@ def emit(payload: dict, as_json: bool):
         print(f"{key}={value}")
 
 
-def cmd_solve(args) -> int:
-    inst = load_instance(args.input)
+def cmd_solve(inst, args) -> dict:
     sol = solve_symmetric(inst) if isinstance(inst, SymmetricInstance) else weiszfeld(inst)
-    payload = {
+    return {
         "case": sol.case,
         "point": list(sol.point),
         "objective": sol.objective,
-        "residual": sol.residual,
+        "residual": sol.residual if sol.vertex is None else None,  # defined if floating
+        "y": sol.y,
+        "vertex": sol.vertex,
     }
-    if sol.y is not None:
-        payload["y"] = sol.y
-    if sol.vertex is not None:
-        payload["vertex"] = sol.vertex
-    emit(payload, args.json)
-    return 0
 
 
-def cmd_classify(args) -> int:
-    inst = load_instance(args.input)
-    tet = inst.tetrahedron() if isinstance(inst, SymmetricInstance) else inst
-    label = classify(tet)
-    payload = {
-        "case": label.case,
-        "margins": list(label.margins),
-    }
-    if label.vertex is not None:
-        payload["vertex"] = label.vertex
-    emit(payload, args.json)
-    return 0
+def cmd_classify(inst, args) -> dict:
+    label = classify(inst.tetrahedron() if isinstance(inst, SymmetricInstance) else inst)
+    return {"case": label.case, "margins": list(label.margins), "vertex": label.vertex}
 
 
-def cmd_angles(args) -> int:
-    inst = require_symmetric(load_instance(args.input))
+def cmd_angles(inst, args) -> dict:
+    require_symmetric(inst)
     y = ft_axial(inst)
     aset = angles_at(inst.a, y)
-    deg = 180.0 / math.pi
-    payload = {
+    return {
         "y": y,
         "alpha102_rad": aset.alpha_102,
         "alpha304_rad": aset.alpha_304,
         "alpha_cross_rad": aset.alpha_cross,
-        "alpha102_deg": aset.alpha_102 * deg,
-        "alpha304_deg": aset.alpha_304 * deg,
-        "alpha_cross_deg": aset.alpha_cross * deg,
+        "alpha102_deg": math.degrees(aset.alpha_102),
+        "alpha304_deg": math.degrees(aset.alpha_304),
+        "alpha_cross_deg": math.degrees(aset.alpha_cross),
     }
-    emit(payload, args.json)
-    return 0
 
 
-def cmd_complementary(args) -> int:
-    inst = require_symmetric(load_instance(args.input))
+def cmd_complementary(inst, args) -> dict:
+    require_symmetric(inst)
     yp = complementary_axial(inst)
-    emit({"y_complementary": yp, "stationarity_defect": stationarity_defect(inst, yp)}, args.json)
-    return 0
+    return {"y_complementary": yp, "stationarity_defect": stationarity_defect(inst, yp)}
 
 
-def cmd_quartic(args) -> int:
-    inst = require_symmetric(load_instance(args.input))
+def cmd_quartic(inst, args) -> dict:
+    require_symmetric(inst)
     q = quartic_coefficients(inst)
     if inst.b1 == inst.b4:
         # the quartic is linear, c1*y = 0
@@ -161,42 +149,33 @@ def cmd_quartic(args) -> int:
         # its two real roots, always distinct: the minimizer (|y| < c) and
         # the signed-weight critical point (|y| > c)
         roots = sorted((ft_axial(inst), complementary_axial(inst)))
-    payload = {
+    return {
         "coefficients": [q.c4, q.c3, q.c2, q.c1, q.c0],
         "roots": roots,
         "multiplicities": [1] * len(roots),
     }
-    emit(payload, args.json)
-    return 0
 
 
-def cmd_plasticity(args) -> int:
-    inst = require_symmetric(load_instance(args.input))
+def cmd_plasticity(inst, args) -> dict:
+    require_symmetric(inst)
     sol = solve_symmetric(inst)
     tet = inst.tetrahedron()
     try:
         pinst = PlasticityInstance(tet, sol.point, [float(v) for v in args.lam.split(",")])
     except ValueError:
         raise InputError("--lambda expects four comma-separated positive numbers") from None
-    # one stretched tetrahedron, classified once, for the output and the re-solve
-    stretched = stretch(pinst)
-    v = stretched.vertices
+    v = stretch(pinst).vertices
     d = measure_dihedral_data(sol.point, v[0], v[1], v[2], v[3])
     h = height_012(d.a01, d.a02, d.a12)
-    alpha = dihedral_alpha(d, h)
-    predicted = predict_a04p(d, h, alpha)
-    displacement = _displacement(pinst, stretched)
-    payload = {
+    return {
         "stretched_vertices": [list(row) for row in v],
-        "predicted_a04p": predicted,
-        "displacement": displacement,
+        "predicted_a04p": predict_a04p(d, h, dihedral_alpha(d, h)),
+        "displacement": verify_invariance(pinst),
     }
-    emit(payload, args.json)
-    return 0
 
 
-def cmd_sweep(args) -> int:
-    inst = require_symmetric(load_instance(args.input))
+def cmd_sweep(inst, args) -> None:
+    require_symmetric(inst)
     if args.steps < 1:
         raise InputError("--steps must be at least 1")
     if not 0 < args.ratio_min <= args.ratio_max < math.inf:
@@ -214,7 +193,6 @@ def cmd_sweep(args) -> int:
         aset = angles_at(row.a, sol.y)
         cells = [r, sol.y, yp, sol.objective, aset.alpha_102, aset.alpha_304, aset.alpha_cross]
         sys.stdout.write(",".join(fmt(v) for v in cells) + "\n")
-    return 0
 
 
 def _ratios(start: float, stop: float, steps: int):
@@ -224,6 +202,18 @@ def _ratios(start: float, stop: float, steps: int):
     yield stop if steps > 1 else start
 
 
+# (name, function, help); sweep always writes CSV, so it takes no --json
+COMMANDS = (
+    ("solve", cmd_solve, "solve for the weighted minimizer"),
+    ("classify", cmd_classify, "floating/absorbed classification"),
+    ("angles", cmd_angles, "vertex angles at the minimizer"),
+    ("complementary", cmd_complementary, "signed-weight exterior critical point"),
+    ("quartic", cmd_quartic, "stationarity quartic and its real roots"),
+    ("plasticity", cmd_plasticity, "ray-stretch construction and invariance"),
+    ("sweep", cmd_sweep, "CSV table over a range of weight ratios"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ftsolve",
@@ -231,65 +221,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, summary in COMMANDS:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, help="instance file (JSON)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("solve", help="solve for the weighted minimizer")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("classify", help="floating/absorbed classification")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("angles", help="vertex angles at the minimizer")
-    common(p)
-    p.set_defaults(func=cmd_angles)
-
-    p = sub.add_parser("complementary", help="signed-weight exterior critical point")
-    common(p)
-    p.set_defaults(func=cmd_complementary)
-
-    p = sub.add_parser("quartic", help="stationarity quartic and its real roots")
-    common(p)
-    p.set_defaults(func=cmd_quartic)
-
-    p = sub.add_parser("plasticity", help="ray-stretch construction and invariance")
-    common(p)
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        required=True,
-        help="four comma-separated stretch factors l1,l2,l3,l4",
-    )
-    p.set_defaults(func=cmd_plasticity)
-
-    p = sub.add_parser("sweep", help="CSV table over a range of weight ratios")
-    # always CSV, so no --json
-    p.add_argument("--input", required=True, help="instance file (JSON)")
-    p.add_argument("--ratio-min", type=float, required=True)
-    p.add_argument("--ratio-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=cmd_sweep)
-
+        if func is not cmd_sweep:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func)
+    lam_help = "four comma-separated stretch factors l1,l2,l3,l4"
+    sub.choices["plasticity"].add_argument("--lambda", dest="lam", required=True, help=lam_help)
+    for option, kind in (("--ratio-min", float), ("--ratio-max", float), ("--steps", int)):
+        sub.choices["sweep"].add_argument(option, type=kind, required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(load_instance(args.input), args)
+        if payload is not None:
+            emit(payload, args.json)
+        sys.stdout.flush()  # so a closed reader shows here, not at exit
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (FtSolveError, ArithmeticError) as e:
-        # an arithmetic fault is a solver failure on valid input, not a
-        # traceback
+        # an arithmetic fault on valid input is a solver failure, not a traceback
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_SOLVER
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ def _edge(a: float) -> float:
     """c = a*sqrt(2)/4 (see SymmetricInstance.c); NonPositiveEdge unless 0 < a < inf."""
     if not 0 < a < math.inf:
         raise NonPositiveEdge(f"edge length must be positive and finite, got {a}")
-    return a * SQRT2 / 4.0
+    return a * (SQRT2 / 4.0)  # a * SQRT2 overflows for a above about 1.27e308
 
 
 def _axial_slope(b1: float, b4: float, y: float, sign4: int) -> float:

@@ -180,10 +180,4 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
 def verify_invariance(p: PlasticityInstance) -> float:
     """Re-solve the stretched tetrahedron numerically and report how far its
     minimizer moved from a0 (should be ~0)."""
-    return _displacement(p, stretch(p))
-
-
-def _displacement(p: PlasticityInstance, stretched: WeightedTetrahedron) -> float:
-    """How far the minimizer of stretch(p), already classified as floating,
-    lies from a0."""
-    return _offsets((p.a0,), _solve_floating(stretched).point)[1][0]
+    return _offsets((p.a0,), _solve_floating(stretch(p)).point)[1][0]

@@ -574,3 +574,131 @@ def test_arithmetic_error_is_a_solver_failure(capsys, symmetric_file, monkeypatc
     assert code == 2
     assert out == ""
     assert err == "solver error: math range error\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["angles"],
+        ["complementary"],
+        ["quartic"],
+        ["plasticity", "--lambda", "1,1,1,2"],
+        ["sweep", "--ratio-min", "1", "--ratio-max", "2", "--steps", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_symmetric_subcommands_reject_a_general_instance(capsys, general_file, argv):
+    code, out, err = run(capsys, [argv[0], "--input", general_file] + argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: this subcommand requires a symmetric-regular instance\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "error: cannot read "),
+        (b'{"mode": "regular"}', "error: unknown mode 'regular'"),
+        # the UnicodeDecodeError escaped as a traceback
+        (b'\xff\xfe{"mode": "general"}', "error: invalid JSON in "),
+    ],
+    ids=["missing-file", "unknown-mode", "not-utf8"],
+)
+def test_instance_file_errors(capsys, tmp_path, content, message):
+    path = tmp_path / "instance.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "0.1.0\n"
+
+
+def test_classify_at_the_largest_edges(capsys, symmetric_file):
+    # c = a * sqrt(2) / 4 overflowed to inf at a = 1.5e308, and classify
+    # printed a ValueError traceback with exit 1
+    code, out, err = run(capsys, ["classify", "--input", symmetric_file(a=1.5e308)])
+    assert (code, out) == (2, "")
+    assert err == "solver error: the largest edge, 1.5e+308, is outside [2^-500, 2^500]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--json"],
+        ["sweep", "--ratio-min", "1", "--ratio-max", "2", "--steps", "50000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout(symmetric_file, argv):
+    # a reader that closed stdout (`ftsolve solve ... | true`) gave a
+    # BrokenPipeError traceback
+    src = Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ftsolve", argv[0], "--input", symmetric_file()] + argv[1:],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture
+def absorbed_file(tmp_path):
+    path = tmp_path / "absorbed.json"
+    weights = [10.0, 1.0, 1.0, 1.0]
+    path.write_text(json.dumps({"mode": "general", "vertices": UNIT_VERTICES, "weights": weights}))
+    return str(path)
+
+
+SYMMETRIC_ARGVS = [
+    ["solve"],
+    ["classify"],
+    ["angles"],
+    ["complementary"],
+    ["quartic"],
+    ["plasticity", "--lambda", "1,1,1,2"],
+]
+JSON_CASES = [("symmetric", argv) for argv in SYMMETRIC_ARGVS] + [
+    (mode, [sub]) for mode in ("floating-general", "absorbed-general") for sub in ("solve", "classify")
+]
+
+
+@pytest.mark.parametrize("mode, argv", JSON_CASES, ids=[f"{m}-{a[0]}" for m, a in JSON_CASES])
+def test_json_output_is_strict_json(
+    capsys, symmetric_file, general_file, absorbed_file, mode, argv
+):
+    # solve on an absorbed general instance printed "residual": NaN
+    path = {
+        "symmetric": symmetric_file(),
+        "floating-general": general_file,
+        "absorbed-general": absorbed_file,
+    }[mode]
+    code, out, err = run(capsys, [argv[0], "--input", path, "--json"] + argv[1:])
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    if argv[0] == "solve":
+        assert ("residual" in payload) == (payload["case"] == "floating")
+
+
+def test_absorbed_solve_prints_no_residual(capsys, absorbed_file):
+    code, out, _ = run(capsys, ["solve", "--input", absorbed_file])
+    assert code == 0
+    assert out == "case=absorbed\npoint=0 0 0\nobjective=3\nvertex=0\n"

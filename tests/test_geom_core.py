@@ -250,3 +250,14 @@ def test_edges_whose_squares_all_round_to_zero_are_out_of_domain():
         WeightedTetrahedron(embed_regular(1e-163), [1.0] * 4)
     with pytest.raises(DegenerateTetrahedron):
         WeightedTetrahedron([(1e-163, 0.0, 0.0)] * 4, [1.0] * 4)
+
+
+def test_axial_frame_at_the_largest_edges():
+    # a * sqrt(2) overflowed above about 1.27e308, so c was inf and
+    # embed_regular returned infinite z coordinates
+    a = 1.5e308
+    c = SymmetricInstance(a=a, b1=2.5, b4=1.0).c
+    assert c == pytest.approx(a * (math.sqrt(2) / 4), rel=1e-15)
+    vertices = embed_regular(a)
+    assert all(math.isfinite(x) for v in vertices for x in v)
+    assert [v[2] for v in vertices] == [c, c, -c, -c]
