@@ -22,10 +22,9 @@ is scalar arithmetic on the axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import EqualWeights, FtSolveError
-from .geom_core import SQRT2, FtSolution, SymmetricInstance, _axial_slope, axial_distances
+from .geom_core import SQRT2, FtSolution, SymmetricInstance, _axial_slope, _Record, _set, axial_distances
 
 __all__ = [
     "QuarticCoefficients",
@@ -35,15 +34,14 @@ __all__ = [
     "solve_symmetric",
 ]
 
-@dataclass(frozen=True)
-class QuarticCoefficients:
+class QuarticCoefficients(_Record):
     """c4*y^4 + c3*y^3 + c2*y^2 + c1*y + c0."""
 
-    c4: float
-    c3: float
-    c2: float
-    c1: float
-    c0: float
+    __slots__ = ("c4", "c3", "c2", "c1", "c0")
+
+    def __init__(self, c4: float, c3: float, c2: float, c1: float, c0: float):
+        for name, value in zip(self.__slots__, (c4, c3, c2, c1, c0)):
+            _set(self, name, value)
 
 
 def quartic_coefficients(inst: SymmetricInstance) -> QuarticCoefficients:
@@ -82,10 +80,13 @@ def _axial_roots(inst: SymmetricInstance) -> tuple[float, float] | None:
     it is solved at a = 1 with the heavier weight scaled into [0.5, 1) by a
     power of two (exact, so b1 - b4 stays exact).  In that frame
     1 <= X^3 < 2^113 and no intermediate leaves the float range.  The
-    exterior root times a may overflow to inf.
+    exterior root times a may overflow to inf.  Solved once per instance:
+    the roots are kept on it.
     """
     if inst.b1 == inst.b4:
         return None
+    if inst._roots is not None:
+        return inst._roots
     heavy, light, sign = (inst.b1, inst.b4, 1.0) if inst.b1 > inst.b4 else (inst.b4, inst.b1, -1.0)
     b1, exp = math.frexp(heavy)
     b4 = math.ldexp(light, -exp)
@@ -105,7 +106,9 @@ def _axial_roots(inst: SymmetricInstance) -> tuple[float, float] | None:
     r = 3.0 * t * (x_1 * x_1 / (4.0 * x)) * (t + 0.5) / ((2.0 * e + t32) * rt)
     s = rt + math.sqrt(r)
     scale = sign * inst.a
-    return scale * (3.0 * rt / (16.0 * (t32 + e) * s)), scale * (0.5 * s)
+    roots = scale * (3.0 * rt / (16.0 * (t32 + e) * s)), scale * (0.5 * s)
+    _set(inst, "_roots", roots)
+    return roots
 
 
 def ft_axial(inst: SymmetricInstance) -> float:

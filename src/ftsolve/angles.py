@@ -18,20 +18,23 @@ about [1e-160, 1e154].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .geom_core import SQRT2, _edge
+from .geom_core import SQRT2, _edge, _Record, _set
 
 __all__ = ["AngleSet", "angles_at"]
 
 
-@dataclass(frozen=True)
-class AngleSet:
-    """The three distinct vertex angles, in radians."""
+class AngleSet(_Record):
+    """The three distinct vertex angles, in radians: under edge A1A2 (the b1
+    pair), under edge A3A4 (the b4 pair), and the common value of the four
+    cross angles."""
 
-    alpha_102: float  # angle under edge A1A2 (the b1 pair)
-    alpha_304: float  # angle under edge A3A4 (the b4 pair)
-    alpha_cross: float  # common value of the four cross angles
+    __slots__ = ("alpha_102", "alpha_304", "alpha_cross")
+
+    def __init__(self, alpha_102: float, alpha_304: float, alpha_cross: float):
+        _set(self, "alpha_102", alpha_102)
+        _set(self, "alpha_304", alpha_304)
+        _set(self, "alpha_cross", alpha_cross)
 
 
 def angles_at(a: float, y: float) -> AngleSet:

@@ -9,6 +9,12 @@ of plasticity's stretched_vertices, which print as lists at full precision.
 Each cmd_* computes its payload from the loaded instance; main alone loads
 the file, prints, and sets the exit code: 0 success, 1 input error or a
 reader that closed stdout, 2 solver failure.
+
+A process loads only what its subcommand runs: the closed forms in analytic
+at start-up, and numeric, equilibrium, angles and plasticity inside the
+subcommands that call them.  sweep solves each row's roots once and writes
+its rows SWEEP_BLOCK lines at a time, so a long table costs few writes even
+with unbuffered output; rows already made are written before an error.
 """
 
 from __future__ import annotations
@@ -21,23 +27,13 @@ import sys
 
 from . import __version__
 from .analytic import complementary_axial, ft_axial, quartic_coefficients, solve_symmetric
-from .angles import angles_at
-from .equilibrium import classify
 from .errors import FtSolveError
 from .geom_core import SymmetricInstance, WeightedTetrahedron
-from .numeric import stationarity_defect, weiszfeld
-from .plasticity import (
-    PlasticityInstance,
-    dihedral_alpha,
-    height_012,
-    measure_dihedral_data,
-    predict_a04p,
-    stretch,
-    verify_invariance,
-)
 
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
+SWEEP_BLOCK = 512  # lines per write
+SWEEP_ROW = ",".join(["%.9g"] * 7) + "\n"  # the bytes of fmt for each cell
 
 
 def fmt(x: float) -> str:
@@ -102,7 +98,12 @@ def emit(payload: dict, as_json: bool):
 
 
 def cmd_solve(inst, args) -> dict:
-    sol = solve_symmetric(inst) if isinstance(inst, SymmetricInstance) else weiszfeld(inst)
+    if isinstance(inst, SymmetricInstance):
+        sol = solve_symmetric(inst)
+    else:
+        from .numeric import weiszfeld
+
+        sol = weiszfeld(inst)
     return {
         "case": sol.case,
         "point": list(sol.point),
@@ -114,11 +115,15 @@ def cmd_solve(inst, args) -> dict:
 
 
 def cmd_classify(inst, args) -> dict:
+    from .equilibrium import classify
+
     label = classify(inst.tetrahedron() if isinstance(inst, SymmetricInstance) else inst)
     return {"case": label.case, "margins": list(label.margins), "vertex": label.vertex}
 
 
 def cmd_angles(inst, args) -> dict:
+    from .angles import angles_at
+
     require_symmetric(inst)
     y = ft_axial(inst)
     aset = angles_at(inst.a, y)
@@ -134,6 +139,8 @@ def cmd_angles(inst, args) -> dict:
 
 
 def cmd_complementary(inst, args) -> dict:
+    from .numeric import stationarity_defect
+
     require_symmetric(inst)
     yp = complementary_axial(inst)
     return {"y_complementary": yp, "stationarity_defect": stationarity_defect(inst, yp)}
@@ -157,6 +164,9 @@ def cmd_quartic(inst, args) -> dict:
 
 
 def cmd_plasticity(inst, args) -> dict:
+    from .plasticity import PlasticityInstance, dihedral_alpha, height_012, measure_dihedral_data
+    from .plasticity import predict_a04p, stretch, verify_invariance
+
     require_symmetric(inst)
     sol = solve_symmetric(inst)
     tet = inst.tetrahedron()
@@ -175,6 +185,8 @@ def cmd_plasticity(inst, args) -> dict:
 
 
 def cmd_sweep(inst, args) -> None:
+    from .angles import angles_at
+
     require_symmetric(inst)
     if args.steps < 1:
         raise InputError("--steps must be at least 1")
@@ -182,17 +194,24 @@ def cmd_sweep(inst, args) -> None:
         raise InputError("need finite 0 < ratio-min <= ratio-max")
     if not (0 < args.ratio_min * inst.b4 and args.ratio_max * inst.b4 < math.inf):
         raise InputError("ratio-min * b4 and ratio-max * b4 must be positive finite weights")
-    sys.stdout.write("ratio,y,y_complementary,objective,alpha102,alpha304,alpha_cross\n")
-    for r in _ratios(args.ratio_min, args.ratio_max, args.steps):
-        row = SymmetricInstance(inst.a, r * inst.b4, inst.b4)
-        sol = solve_symmetric(row)
-        try:
-            yp = complementary_axial(row)
-        except FtSolveError:
-            yp = float("nan")
-        aset = angles_at(row.a, sol.y)
-        cells = [r, sol.y, yp, sol.objective, aset.alpha_102, aset.alpha_304, aset.alpha_cross]
-        sys.stdout.write(",".join(fmt(v) for v in cells) + "\n")
+    lines = ["ratio,y,y_complementary,objective,alpha102,alpha304,alpha_cross\n"]
+    try:
+        for r in _ratios(args.ratio_min, args.ratio_max, args.steps):
+            row = SymmetricInstance(inst.a, r * inst.b4, inst.b4)
+            sol = solve_symmetric(row)  # solves both roots and keeps them on row
+            try:
+                yp = complementary_axial(row)
+            except FtSolveError:
+                yp = math.nan
+            aset = angles_at(row.a, sol.y)
+            cells = (r, sol.y, yp, sol.objective, aset.alpha_102, aset.alpha_304, aset.alpha_cross)
+            lines.append(SWEEP_ROW % cells)
+            if len(lines) == SWEEP_BLOCK:
+                sys.stdout.write("".join(lines))
+                lines.clear()
+    finally:
+        if lines:
+            sys.stdout.write("".join(lines))
 
 
 def _ratios(start: float, stop: float, steps: int):

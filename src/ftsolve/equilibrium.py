@@ -10,21 +10,23 @@ absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CoincidentPoints
-from .geom_core import WeightedTetrahedron, _offsets, _point
+from .geom_core import WeightedTetrahedron, _offsets, _point, _Record, _set
 
 __all__ = ["CaseLabel", "classify", "equilibrium_residual"]
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    """Classification outcome with the per-vertex margins
+class CaseLabel(_Record):
+    """Classification outcome: the 0-based absorbed vertex (None if
+    floating) and the four per-vertex margins
     ||sum_{j != i} B_j u(A_i, A_j)|| - B_i."""
 
-    vertex: int | None  # 0-based absorbed vertex, None if floating
-    margins: tuple[float, float, float, float]
+    __slots__ = ("vertex", "margins")
+
+    def __init__(self, vertex: int | None, margins: tuple[float, float, float, float]):
+        _set(self, "vertex", vertex)
+        _set(self, "margins", margins)
 
     @property
     def floating(self) -> bool:

@@ -11,7 +11,6 @@ side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateTetrahedron, NonPositiveEdge, OutOfDomain
 
@@ -26,6 +25,42 @@ __all__ = [
 
 COPLANARITY_RTOL = 1e-12
 SQRT2 = math.sqrt(2.0)
+
+
+class _Record:
+    """An immutable record over __slots__: assignment raises AttributeError,
+    and equality, hash, repr and pickling go by the public slots, in order
+    (the constructor's parameters).  Private slots hold derived values."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, k) for k in self.__slots__ if k[0] != "_"])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        names = [k for k in self.__slots__ if k[0] != "_"]
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+_set = object.__setattr__  # for constructors: the record's own __setattr__ refuses
 
 
 def _entries(values, n: int, what: str, entry=float) -> tuple:
@@ -80,16 +115,15 @@ def _offsets(points, x):
     return v, [math.sqrt(ox * ox + oy * oy + oz * oz) for ox, oy, oz in v]
 
 
-@dataclass(frozen=True)
-class WeightedTetrahedron:
-    """Four non-coplanar vertices with four finite positive weights."""
+class WeightedTetrahedron(_Record):
+    """Four non-coplanar vertices (4 points) with four finite positive
+    weights."""
 
-    vertices: tuple[tuple[float, float, float], ...]  # 4 points
-    weights: tuple[float, ...]  # 4 weights
+    __slots__ = ("vertices", "weights", "_pairs", "_max_edge")
 
-    def __post_init__(self):
-        v = _entries(self.vertices, 4, "vertices", _point)
-        w = _entries(self.weights, 4, "weights")
+    def __init__(self, vertices, weights):
+        v = _entries(vertices, 4, "vertices", _point)
+        w = _entries(weights, 4, "weights")
         if not all(0 < wi < math.inf for wi in w):
             raise ValueError("weights must be positive and finite")
         # each vertex pair once: row i holds the offsets A_i - A_j and their
@@ -98,10 +132,10 @@ class WeightedTetrahedron:
         pairs = (((), ()),) + tuple([(tuple(o), tuple(d)) for o, d in rows])
         lengths = [x for _, d in rows for x in d]
         edge = max(lengths)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_max_edge", edge)
+        _set(self, "vertices", v)
+        _set(self, "weights", w)
+        _set(self, "_pairs", pairs)
+        _set(self, "_max_edge", edge)
         # _offsets' squares stay normal; only coincident vertices measure 0
         if not 2.0**-500 <= edge <= 2.0**500 and (longest := max(_lengths(v))):
             raise OutOfDomain(f"the largest edge, {longest}, is outside [2^-500, 2^500]")
@@ -124,19 +158,21 @@ class WeightedTetrahedron:
         return self._max_edge
 
 
-@dataclass(frozen=True)
-class SymmetricInstance:
+class SymmetricInstance(_Record):
     """Regular tetrahedron of edge ``a`` with weight pairs b1 (on A1, A2) and
-    b4 (on A3, A4)."""
+    b4 (on A3, A4).  ``_roots`` holds analytic._axial_roots' answer once it
+    has been solved, and None until then."""
 
-    a: float
-    b1: float
-    b4: float
+    __slots__ = ("a", "b1", "b4", "_roots")
 
-    def __post_init__(self):
-        _edge(self.a)
-        if not (0 < self.b1 < math.inf and 0 < self.b4 < math.inf):
+    def __init__(self, a: float, b1: float, b4: float):
+        _edge(a)
+        if not (0 < b1 < math.inf and 0 < b4 < math.inf):
             raise ValueError("weights must be positive and finite")
+        _set(self, "a", a)
+        _set(self, "b1", b1)
+        _set(self, "b4", b4)
+        _set(self, "_roots", None)
 
     @property
     def c(self) -> float:
@@ -177,17 +213,19 @@ def objective(points, weights, x) -> float:
     return math.fsum(wi * di for wi, di in zip(w, d))
 
 
-@dataclass
-class FtSolution:
+class FtSolution(_Record):
     """Solution record: location, objective value, equilibrium defect, axial
     coordinate (None off the symmetry axis or for absorbed cases) and the
-    absorbing vertex (None when the minimizer floats)."""
+    absorbing vertex (0-based; None when the minimizer floats)."""
 
-    point: tuple[float, float, float]
-    objective: float
-    residual: float
-    y: float | None = None
-    vertex: int | None = None  # 0-based, set iff absorbed
+    __slots__ = ("point", "objective", "residual", "y", "vertex")
+
+    def __init__(self, point, objective: float, residual: float, y=None, vertex=None):
+        _set(self, "point", point)
+        _set(self, "objective", objective)
+        _set(self, "residual", residual)
+        _set(self, "y", y)
+        _set(self, "vertex", vertex)
 
     @property
     def case(self) -> str:

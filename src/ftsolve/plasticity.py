@@ -12,11 +12,10 @@ the construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .equilibrium import classify
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
-from .geom_core import WeightedTetrahedron, _entries, _offsets, _point
+from .geom_core import WeightedTetrahedron, _entries, _offsets, _point, _Record, _set
 from .numeric import _solve_floating
 
 __all__ = [
@@ -35,25 +34,23 @@ __all__ = [
 CLAMP_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class PlasticityInstance:
+class PlasticityInstance(_Record):
     """A floating base tetrahedron, its minimizer a0, and per-vertex ray
     stretch factors (A_i' = a0 + lambda_i * (A_i - a0))."""
 
-    base: WeightedTetrahedron
-    a0: tuple[float, float, float]
-    lambdas: tuple[float, float, float, float]
+    __slots__ = ("base", "a0", "lambdas")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a0", _point(self.a0))
-        lam = _entries(self.lambdas, 4, "lambdas")
+    def __init__(self, base: WeightedTetrahedron, a0, lambdas):
+        a0 = _point(a0)
+        lam = _entries(lambdas, 4, "lambdas")
         if not all(0 < k < math.inf for k in lam):
             raise ValueError("stretch factors must be positive and finite")
-        object.__setattr__(self, "lambdas", lam)
+        _set(self, "base", base)
+        _set(self, "a0", a0)
+        _set(self, "lambdas", lam)
 
 
-@dataclass(frozen=True)
-class DihedralData:
+class DihedralData(_Record):
     """Measured lengths and angles feeding the dihedral/cosine-law formulas.
 
     alpha_123 and alpha_124p are the vertex angles at A2 (toward A1/A3 and
@@ -61,15 +58,12 @@ class DihedralData:
     A4'A1A2 along edge A1A2.
     """
 
-    a01: float
-    a02: float
-    a03: float
-    a23: float
-    a12: float
-    a24p: float
-    alpha_123: float
-    alpha_124p: float
-    alpha_g4p: float
+    __slots__ = ("a01", "a02", "a03", "a23", "a12", "a24p", "alpha_123", "alpha_124p", "alpha_g4p")
+
+    def __init__(self, a01, a02, a03, a23, a12, a24p, alpha_123, alpha_124p, alpha_g4p):
+        values = (a01, a02, a03, a23, a12, a24p, alpha_123, alpha_124p, alpha_g4p)
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
 
 def height_012(a01: float, a02: float, a12: float) -> float:

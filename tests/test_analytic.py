@@ -182,3 +182,51 @@ def test_sign_flip_coincidence():
     assert np.linalg.norm(total) == pytest.approx(
         equilibrium_residual(tet, sol.point), rel=1e-9
     )
+
+
+MEMO_CASES = [
+    (1.0, 2.5, 1.0),
+    (3.0, 1.0, 2.5),  # mirrored: b4 heavier
+    (1.0, 1.0 + 2.0**-52, 1.0),
+    (1e-200, 1.0, 1e12),
+    (0.7, 1e15, 1.0),
+    (1.0, 1.5, 1.5),  # equal weights: nothing to keep
+    (1e300, 2.0, 1.0),  # the exterior root overflows
+]
+ORDERS = [
+    ("ft_axial", "complementary_axial", "solve_symmetric"),
+    ("complementary_axial", "solve_symmetric", "ft_axial"),
+    ("solve_symmetric", "ft_axial", "complementary_axial"),
+]
+
+
+def _answer(name, inst):
+    """The bits of one call's answer, or the type and text of its error."""
+    fn = {"ft_axial": ft_axial, "complementary_axial": complementary_axial, "solve_symmetric": solve_symmetric}
+    try:
+        out = fn[name](inst)
+    except FtSolveError as e:
+        return type(e).__name__, str(e)
+    if name == "solve_symmetric":
+        return tuple(float(v).hex() for v in (*out.point, out.objective, out.residual, out.y))
+    return float(out).hex()
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o[0])
+@pytest.mark.parametrize("a, b1, b4", MEMO_CASES)
+def test_roots_kept_on_the_instance_match_a_fresh_solve(a, b1, b4, order):
+    # the roots are solved once per instance and kept on it: every call on a
+    # reused instance, in any order and repeated, answers bit for bit as on a
+    # fresh instance
+    reused = SymmetricInstance(a, b1, b4)
+    for name in order + order:
+        assert _answer(name, reused) == _answer(name, SymmetricInstance(a, b1, b4))
+
+
+@pytest.mark.parametrize("a, b1, b4", MEMO_CASES)
+def test_kept_roots_leave_equality_and_hash_alone(a, b1, b4):
+    solved, unsolved = SymmetricInstance(a, b1, b4), SymmetricInstance(a, b1, b4)
+    _answer("ft_axial", solved)
+    assert solved == unsolved and hash(solved) == hash(unsolved)
+    assert repr(solved) == repr(unsolved) == f"SymmetricInstance(a={a!r}, b1={b1!r}, b4={b4!r})"
+    assert {solved: 1}[unsolved] == 1

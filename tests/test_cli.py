@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -10,8 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ftsolve import SymmetricInstance, objective, solve_symmetric
-from ftsolve.cli import _ratios, fmt, main
+from ftsolve import (
+    FtSolveError,
+    SymmetricInstance,
+    angles_at,
+    complementary_axial,
+    objective,
+    solve_symmetric,
+)
+from ftsolve.cli import SWEEP_BLOCK, _ratios, fmt, main
 
 NINE_SIG = re.compile(r"^-?(\d+(\.\d+)?|\d*\.\d+)(e[+-]?\d+)?$|^nan$")
 
@@ -389,6 +397,70 @@ def test_sweep_ratios_are_not_held_in_memory():
         tracemalloc.stop()
     assert last == 2.0
     assert peak < 2**20
+
+
+SWEEP_HEADER = "ratio,y,y_complementary,objective,alpha102,alpha304,alpha_cross\n"
+
+
+def reference_sweep(a, b1, b4, lo, hi, steps):
+    """The CSV as sweep once wrote it, one row at a time with fmt on each
+    cell, and the error that ended it (None if it ran to the end)."""
+    out = [SWEEP_HEADER]
+    for r in _ratios(lo, hi, steps):
+        row = SymmetricInstance(a, r * b4, b4)
+        try:
+            sol = solve_symmetric(row)
+        except FtSolveError as e:
+            return "".join(out), e
+        try:
+            yp = complementary_axial(row)
+        except FtSolveError:
+            yp = float("nan")
+        aset = angles_at(a, sol.y)
+        cells = [r, sol.y, yp, sol.objective, aset.alpha_102, aset.alpha_304, aset.alpha_cross]
+        out.append(",".join(fmt(v) for v in cells) + "\n")
+    return "".join(out), None
+
+
+class CountingStdout(io.StringIO):
+    """stdout that counts the non-empty writes it receives."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += bool(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("steps", [1, 511, 512, 513, 1025])
+def test_sweep_rows_match_per_row_formatting(monkeypatch, symmetric_file, steps):
+    # rows go out SWEEP_BLOCK lines (the header counts) per write, with the
+    # bytes of fmt on each cell; 0.5..1.5 passes ratio 1 (equal weights, no
+    # exterior point) at 1025 steps, and the mirrored b4-heavy rows below it
+    path = symmetric_file(a=2.0, b1=1.0, b4=0.75)
+    expected, error = reference_sweep(2.0, 1.0, 0.75, 0.5, 1.5, steps)
+    assert error is None
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["sweep", "--input", path, "--ratio-min", "0.5", "--ratio-max", "1.5", "--steps", str(steps)]
+    assert main(argv) == 0
+    assert out.getvalue() == expected
+    assert out.writes == -(-(steps + 1) // SWEEP_BLOCK)
+    if steps == 1025:
+        assert "\n1,0,nan," in expected
+
+
+@pytest.mark.parametrize("steps", [2000, 50000])
+def test_sweep_failing_mid_way_writes_the_rows_before_the_error(capsys, symmetric_file, steps):
+    # the objective overflows near ratio 1.8e8: after 36 rows of 2000, and
+    # after 899 rows of 50000, past the first block
+    path = symmetric_file(a=1e300, b1=1.0, b4=1.0)
+    expected, error = reference_sweep(1e300, 1.0, 1.0, 1.0, 1e10, steps)
+    assert str(error) == "the objective exceeds the float range at a = 1e+300"
+    assert (expected.count("\n") - 1 > SWEEP_BLOCK) == (steps == 50000)
+    argv = ["sweep", "--input", path, "--ratio-min", "1", "--ratio-max", "1e10", "--steps", str(steps)]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, expected, f"solver error: {error}\n")
 
 
 # runs every subcommand in a process where importing numpy fails

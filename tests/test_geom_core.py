@@ -1,5 +1,4 @@
 import math
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -164,7 +163,7 @@ def test_weighted_tetrahedron_is_frozen(field):
     # classify and weiszfeld read the vertex pairs stored at construction
     t = WeightedTetrahedron(embed_regular(1.0), [1.0] * 4)
     before = getattr(t, field)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         setattr(t, field, ((0.0, 0.0, 0.0),) * 4 if field == "vertices" else (2.0,) * 4)
     assert getattr(t, field) == before and t.max_edge() == pytest.approx(1.0, rel=1e-15)
 

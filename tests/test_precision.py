@@ -137,10 +137,10 @@ def test_solve_stays_on_the_axis(monkeypatch, b1, b4):
     inst = SymmetricInstance(a=1.0, b1=b1, b4=b4)
     tet = inst.tetrahedron()
 
-    def no_tetrahedron(self):
+    def no_tetrahedron(self, *args, **kwargs):
         raise AssertionError("the axis path built a tetrahedron")
 
-    monkeypatch.setattr(WeightedTetrahedron, "__post_init__", no_tetrahedron)
+    monkeypatch.setattr(WeightedTetrahedron, "__init__", no_tetrahedron)
     sol = solve_symmetric(inst)
     monkeypatch.undo()
     assert sol.case == "floating" and sol.vertex is None
