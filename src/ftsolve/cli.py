@@ -70,9 +70,12 @@ def load_instance(path: str) -> SymmetricInstance | WeightedTetrahedron:
 
 
 def _numbers(x, depth: int):
-    """x with its entries depth lists deep checked to be numbers (float() takes true, "1")."""
+    """x, checked to be depth levels of lists of numbers (float() takes true,
+    "1", and the keys of an object)."""
     if depth:
-        return [_numbers(v, depth - 1) for v in x] if isinstance(x, list) else x
+        if not isinstance(x, list):
+            raise ValueError(f"expected a list, got {json.dumps(x)}")
+        return [_numbers(v, depth - 1) for v in x]
     if type(x) is not float:
         raise ValueError(f"expected a number, got {json.dumps(x)}")
     return x

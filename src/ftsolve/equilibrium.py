@@ -50,22 +50,8 @@ def _pull(w, v, d) -> float:
 
 def classify(t: WeightedTetrahedron) -> CaseLabel:
     """Classify the minimizer as floating or absorbed at some vertex."""
-    # the pull at A_i from the stored pairs, in vertex order: A_i - A_j for
-    # j < i, and A_j - A_i with the weight negated (exact) for j > i
-    (
-        _,
-        ((o10,), (d10,)),
-        ((o20, o21), (d20, d21)),
-        ((o30, o31, o32), (d30, d31, d32)),
-    ) = t._pairs
-    w0, w1, w2, w3 = w = t.weights
-    pulls = (
-        _pull((-w1, -w2, -w3), (o10, o20, o30), (d10, d20, d30)),
-        _pull((w0, -w2, -w3), (o10, o21, o31), (d10, d21, d31)),
-        _pull((w0, w1, -w3), (o20, o21, o32), (d20, d21, d32)),
-        _pull((w0, w1, w2), (o30, o31, o32), (d30, d31, d32)),
-    )
-    margins = tuple(p - wi for p, wi in zip(pulls, w))
+    # the terms of each vertex's pull are laid out once, at construction
+    margins = tuple([_pull(*terms) - wi for terms, wi in zip(t._pulls, t.weights)])
     # uniqueness of the minimizer allows at most one non-positive margin
     vertex = next((i for i, m in enumerate(margins) if m <= 0.0), None)
     return CaseLabel(vertex, margins)

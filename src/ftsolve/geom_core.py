@@ -64,9 +64,10 @@ _set = object.__setattr__  # for constructors: the record's own __setattr__ refu
 
 
 def _entries(values, n: int, what: str, entry=float) -> tuple:
-    """The n entries of values, each passed through entry; else ValueError."""
+    """The n entries of values, each passed through entry; else ValueError.
+    A string, dict or set is refused: its entries are not n values in order."""
     try:
-        out = () if isinstance(values, str) else tuple(map(entry, values))
+        out = () if isinstance(values, (str, dict, set, frozenset)) else tuple(map(entry, values))
     except TypeError:
         out = ()
     if len(out) != n:
@@ -119,7 +120,7 @@ class WeightedTetrahedron(_Record):
     """Four non-coplanar vertices (4 points) with four finite positive
     weights."""
 
-    __slots__ = ("vertices", "weights", "_pairs", "_max_edge")
+    __slots__ = ("vertices", "weights", "_pulls", "_max_edge")
 
     def __init__(self, vertices, weights):
         v = _entries(vertices, 4, "vertices", _point)
@@ -127,14 +128,24 @@ class WeightedTetrahedron(_Record):
         if not all(0 < wi < math.inf for wi in w):
             raise ValueError("weights must be positive and finite")
         # each vertex pair once: row i holds the offsets A_i - A_j and their
-        # lengths for j < i (row 0 is empty)
+        # lengths for j < i
         rows = [_offsets(v[:i], v[i]) for i in range(1, 4)]
-        pairs = (((), ()),) + tuple([(tuple(o), tuple(d)) for o, d in rows])
-        lengths = [x for _, d in rows for x in d]
+        ((o10,), (d10,)), ((o20, o21), (d20, d21)), ((o30, o31, o32), (d30, d31, d32)) = rows
+        w0, w1, w2, w3 = w
+        # the pull on A_i, sum_j w_j (A_i - A_j)/|A_i - A_j|, as equilibrium's
+        # _pull takes it: (coefficients, offsets, lengths) in vertex order,
+        # with A_j - A_i and the weight negated (exact) for j > i
+        pulls = (
+            ((-w1, -w2, -w3), (o10, o20, o30), (d10, d20, d30)),
+            ((w0, -w2, -w3), (o10, o21, o31), (d10, d21, d31)),
+            ((w0, w1, -w3), (o20, o21, o32), (d20, d21, d32)),
+            ((w0, w1, w2), (o30, o31, o32), (d30, d31, d32)),
+        )
+        lengths = (d10, d20, d21, d30, d31, d32)
         edge = max(lengths)
         _set(self, "vertices", v)
         _set(self, "weights", w)
-        _set(self, "_pairs", pairs)
+        _set(self, "_pulls", pulls)
         _set(self, "_max_edge", edge)
         # _offsets' squares stay normal; only coincident vertices measure 0
         if not 2.0**-500 <= edge <= 2.0**500 and (longest := max(_lengths(v))):
@@ -143,7 +154,7 @@ class WeightedTetrahedron(_Record):
         # that brings the largest edge into [0.5, 1), so a^3 stays in range
         a, e = math.frexp(edge)
         # of A_1 - A_0, A_2 - A_0 and A_3 - A_0
-        edges = (o[0] for o, _ in rows)
+        edges = (o10, o20, o30)
         (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = ([math.ldexp(c, -e) for c in o] for o in edges)
         vol6 = abs(ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx))
         # scale-invariant coplanarity test on the signed volume

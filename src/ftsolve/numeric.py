@@ -58,13 +58,11 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     if label.floating:
         return _solve_floating(t)
     i = label.vertex
-    # |A_i - A_j| from the stored pairs: row i holds j < i, and row j holds
-    # j > i; fsum is correctly rounded, so the order of the terms is free
-    d = t._pairs[i][1] + tuple(dj[i] for _, dj in t._pairs[i + 1 :])
-    w = t.weights[:i] + t.weights[i + 1 :]
+    # the coefficients of A_i's pull are the other weights, some negated
+    coefficients, _, d = t._pulls[i]
     return FtSolution(
         point=t.vertices[i],
-        objective=math.fsum(wj * dj for wj, dj in zip(w, d)),
+        objective=math.fsum(abs(cj) * dj for cj, dj in zip(coefficients, d)),
         residual=float("nan"),
         vertex=i,
     )

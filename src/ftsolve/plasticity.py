@@ -66,14 +66,23 @@ class DihedralData(_Record):
             _set(self, name, value)
 
 
+def _unit(*lengths):
+    """The lengths scaled by the power of two 2^-e (exact) that brings the
+    largest into [0.5, 1), and e: the formulas' squares then neither
+    overflow nor underflow, and a result of degree 1 is scaled back by 2^e."""
+    e = math.frexp(max(lengths))[1]
+    return [math.ldexp(x, -e) for x in lengths], e
+
+
 def height_012(a01: float, a02: float, a12: float) -> float:
     """Height of triangle A0A1A2 from A0 onto side A1A2."""
     if a12 <= 0:
         raise DegenerateTriangle("base side a12 must be positive")
+    (a01, a02, a12), e = _unit(a01, a02, a12)
     radicand = 4.0 * a01**2 * a02**2 - (a01**2 + a02**2 - a12**2) ** 2
     if radicand < 0:
         raise DegenerateTriangle("side lengths violate the triangle inequality")
-    return math.sqrt(radicand / (4.0 * a12**2))
+    return math.ldexp(math.sqrt(radicand / (4.0 * a12**2)), e)
 
 
 def _clamped_acos(arg: float) -> float:
@@ -82,10 +91,10 @@ def _clamped_acos(arg: float) -> float:
     return math.acos(min(1.0, max(-1.0, arg)))
 
 
-def _foot(d: DihedralData) -> float:
+def _foot(a01: float, a02: float, a12: float) -> float:
     """Signed distance from A2 toward A1 of the foot of the height from A0
     onto line A1A2; negative once the foot lies beyond A2."""
-    return (d.a02**2 + d.a12**2 - d.a01**2) / (2.0 * d.a12)
+    return (a02**2 + a12**2 - a01**2) / (2.0 * a12)
 
 
 def dihedral_alpha(d: DihedralData, h: float) -> float:
@@ -95,9 +104,10 @@ def dihedral_alpha(d: DihedralData, h: float) -> float:
     sin123 = math.sin(d.alpha_123)
     if sin123 == 0.0:
         raise OutOfDomain("alpha_123 must not be 0 or pi")
+    (a01, a02, a03, a23, a12, h), _ = _unit(d.a01, d.a02, d.a03, d.a23, d.a12, h)
     arg = (
-        (d.a02**2 + d.a23**2 - d.a03**2) / (2.0 * d.a23)
-        - _foot(d) * math.cos(d.alpha_123)
+        (a02**2 + a23**2 - a03**2) / (2.0 * a23)
+        - _foot(a01, a02, a12) * math.cos(d.alpha_123)
     ) / (h * sin123)
     return _clamped_acos(arg)
 
@@ -105,13 +115,13 @@ def dihedral_alpha(d: DihedralData, h: float) -> float:
 def predict_a04p(d: DihedralData, h: float, alpha: float) -> float:
     """Distance from A0 to the stretched vertex A4' by the generalized
     cosine law; collapses to the planar cosine law at h = 0."""
-    proj = _foot(d) * math.cos(d.alpha_124p) + h * math.sin(d.alpha_124p) * math.cos(
-        d.alpha_g4p - alpha
-    )
-    radicand = d.a02**2 + d.a24p**2 - 2.0 * d.a24p * proj
+    (a01, a02, a12, a24p, h), e = _unit(d.a01, d.a02, d.a12, d.a24p, h)
+    proj = _foot(a01, a02, a12) * math.cos(d.alpha_124p)
+    proj += h * math.sin(d.alpha_124p) * math.cos(d.alpha_g4p - alpha)
+    radicand = a02**2 + a24p**2 - 2.0 * a24p * proj
     if radicand < 0:
         raise OutOfDomain("negative radicand; inconsistent inputs")
-    return math.sqrt(radicand)
+    return math.ldexp(math.sqrt(radicand), e)
 
 
 def _dot(u, v) -> float:
@@ -173,5 +183,6 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
 
 def verify_invariance(p: PlasticityInstance) -> float:
     """Re-solve the stretched tetrahedron numerically and report how far its
-    minimizer moved from a0 (should be ~0)."""
-    return _offsets((p.a0,), _solve_floating(stretch(p)).point)[1][0]
+    minimizer moved from a0 (should be ~0), by math.dist: the squares of a
+    displacement lose digits below 2^-511 and round to 0 below 2^-537."""
+    return math.dist(p.a0, _solve_floating(stretch(p)).point)

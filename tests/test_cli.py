@@ -196,6 +196,29 @@ def test_plasticity_when_foot_lies_beyond_a2(capsys, symmetric_file, ratio):
     assert abs(payload["predicted_a04p"] - direct) <= 1e-9 * direct
 
 
+def plasticity_payload(capsys, path, lam):
+    code, out, err = run(capsys, ["plasticity", "--input", path, "--lambda", lam, "--json"])
+    assert code == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("b1, lam", [(1.5, "1.5,1.2,0.8,2.0"), (2.5, "1,1,1,2"), (0.7, "0.5,3,1.1,2.2")])
+def test_plasticity_scales_exactly_with_the_edge(capsys, symmetric_file, b1, lam):
+    # the formulas squared the lengths at the caller's scale: a = 1e-80 lost
+    # 5 digits of predicted_a04p, 1e-100 gave "height must be positive",
+    # and 1e100 an OverflowError; the displacement's squares lost it below
+    # a = 2^-450.  Scaling a by 2^k is exact, so the answers must follow it
+    # exactly (every k from -490 to 490 was checked; the test strides by 7)
+    unit = plasticity_payload(capsys, symmetric_file(a=1.0, b1=b1), lam)
+    for k in range(-490, 491, 7):
+        payload = plasticity_payload(capsys, symmetric_file(a=math.ldexp(1.0, k), b1=b1), lam)
+        for key in ("predicted_a04p", "displacement"):
+            assert payload[key] == math.ldexp(unit[key], k), (k, key)
+    for a in (1e-100, 1e-80, 1e100):
+        payload = plasticity_payload(capsys, symmetric_file(a=a, b1=b1), lam)
+        assert payload["predicted_a04p"] == pytest.approx(a * unit["predicted_a04p"], rel=1e-14)
+
+
 # (a, b1, b4, lambdas) of the cli benchmark's large_ratio plasticity inputs
 LARGE_RATIO = [
     (0.18324062329160828, 2.8592731359453207, 115062469.94217965,
@@ -523,6 +546,9 @@ MALFORMED_GENERAL = {
     "nan-weight": (UNIT_VERTICES, [1.0, math.nan, 1.0, 1.0]),
     "infinite-weight": (UNIT_VERTICES, [math.inf, 1.0, 1.0, 1.0]),
     "zero-weight": (UNIT_VERTICES, [1.0, 0.0, 1.0, 1.0]),
+    # these two solved with exit 0: an object was read as the list of its keys
+    "object-weights": (UNIT_VERTICES, {"1": 0, "2": 0, "3": 0, "4": 0}),
+    "object-vertex": ([{"0": "a", "1": True, "2": None}] + UNIT_VERTICES[1:], [1.0] * 4),
 }
 
 
@@ -665,21 +691,33 @@ def test_symmetric_subcommands_reject_a_general_instance(capsys, general_file, a
     assert err == "error: this subcommand requires a symmetric-regular instance\n"
 
 
+NO_MODE = "error: instance file must be an object with a 'mode' field"
+SWEEP_NO_STEPS = ["sweep", "--ratio-min", "1", "--ratio-max", "2", "--steps", "0"]
+
+
 @pytest.mark.parametrize(
-    "content, message",
+    "content, message, argv",
     [
-        (None, "error: cannot read "),
-        (b'{"mode": "regular"}', "error: unknown mode 'regular'"),
+        (None, "error: cannot read ", ["solve"]),
+        (b'{"mode": "regular"}', "error: unknown mode 'regular'", ["solve"]),
         # the UnicodeDecodeError escaped as a traceback
-        (b'\xff\xfe{"mode": "general"}', "error: invalid JSON in "),
+        (b'\xff\xfe{"mode": "general"}', "error: invalid JSON in ", ["solve"]),
+        (b"[1.0, 2.5, 1.0]", NO_MODE, ["solve"]),
+        (b'{"a": 1.0, "b1": 2.5, "b4": 1.0}', NO_MODE, ["solve"]),
+        # a valid file, and an option that sweep refuses
+        (
+            b'{"mode": "symmetric-regular", "a": 1.0, "b1": 2.5, "b4": 1.0}',
+            "error: --steps must be at least 1\n",
+            SWEEP_NO_STEPS,
+        ),
     ],
-    ids=["missing-file", "unknown-mode", "not-utf8"],
+    ids=["missing-file", "unknown-mode", "not-utf8", "json-array", "no-mode", "sweep-no-steps"],
 )
-def test_instance_file_errors(capsys, tmp_path, content, message):
+def test_instance_file_errors(capsys, tmp_path, content, message, argv):
     path = tmp_path / "instance.json"
     if content is not None:
         path.write_bytes(content)
-    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    code, out, err = run(capsys, [argv[0], "--input", str(path)] + argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith(message)
     assert "Traceback" not in err

@@ -131,6 +131,14 @@ def test_weighted_tetrahedron_validation():
         WeightedTetrahedron(flat, [1.0, 1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("weights", [{4.0, 3.0, 2.0, 1.0}, {"1": 4.0, "2": 3.0, "3": 2.0, "4": 1.0}])
+def test_weighted_tetrahedron_rejects_weights_without_an_order(weights):
+    # a set was read in its own order, here (1.0, 2.0, 3.0, 4.0), and a
+    # mapping as its keys
+    with pytest.raises(ValueError, match="weights must have 4 entries"):
+        WeightedTetrahedron(embed_regular(1.0), weights)
+
+
 @pytest.mark.parametrize("a", [1e-110, 1e110])
 def test_weighted_tetrahedron_at_extreme_edge_lengths(a):
     # a**3 raised OverflowError at edge 1e110, and the volume underflowed
@@ -157,10 +165,10 @@ def test_weighted_tetrahedron_rejects_weights_not_finite_positive(bad):
         WeightedTetrahedron(embed_regular(1.0), [bad, 1.0, 1.0, 1.0])
 
 
-@pytest.mark.parametrize("field", ["vertices", "weights", "_pairs"])
+@pytest.mark.parametrize("field", ["vertices", "weights", "_pulls"])
 def test_weighted_tetrahedron_is_frozen(field):
     # an assignment once went unvalidated, and max_edge kept the old value;
-    # classify and weiszfeld read the vertex pairs stored at construction
+    # classify and weiszfeld read the pull terms stored at construction
     t = WeightedTetrahedron(embed_regular(1.0), [1.0] * 4)
     before = getattr(t, field)
     with pytest.raises(AttributeError):
@@ -169,15 +177,25 @@ def test_weighted_tetrahedron_is_frozen(field):
 
 
 def test_weighted_tetrahedron_stores_each_vertex_pair_once():
-    # row i holds the offsets A_i - A_j and their lengths for j < i, as
-    # tuples, so the frozen record holds nothing mutable
+    # vertex i's pull terms are (coefficients, offsets, lengths) over j != i
+    # in vertex order: A_i - A_j with w_j for j < i, and for j > i the same
+    # offset tuple as vertex j's term for i, with -w_j; all tuples, so the
+    # frozen record holds nothing mutable
     v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
-    t = WeightedTetrahedron(v, [1.0] * 4)
-    assert len(t._pairs) == 4 and t._pairs[0] == ((), ())
-    for i, (offsets, distances) in enumerate(t._pairs):
-        assert type(offsets) is tuple and type(distances) is tuple
-        assert offsets == tuple(tuple(v[i] - v[j]) for j in range(i))
-        assert distances == tuple(math.sqrt(sum(c * c for c in o)) for o in offsets)
+    w = (1.0, 2.0, 3.0, 4.0)
+    t = WeightedTetrahedron(v, w)
+    assert type(t._pulls) is tuple and len(t._pulls) == 4
+    for i, terms in enumerate(t._pulls):
+        assert all(type(part) is tuple for part in terms)
+        coefficients, offsets, lengths = terms
+        others = [j for j in range(4) if j != i]
+        assert coefficients == tuple(w[j] if j < i else -w[j] for j in others)
+        for j, o, d in zip(others, offsets, lengths):
+            assert type(o) is tuple
+            assert o == (tuple(v[i] - v[j]) if j < i else tuple(v[j] - v[i]))
+            assert d == math.sqrt(sum(c * c for c in o))
+            if j > i:  # i < j, so vertex j's term for i is its i-th
+                assert o is t._pulls[j][1][i] and d == t._pulls[j][2][i]
     assert t.max_edge() == math.sqrt(13.0)
 
 

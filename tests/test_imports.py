@@ -92,3 +92,24 @@ extra = [sorted(k for k in ns if not k.startswith("__")), sorted(ftsolve.__all__
     assert names == exported and "solve_symmetric" in names and "WeightedTetrahedron" in names
     assert unknown == "module 'ftsolve' has no attribute 'no_such_name'"
 
+
+
+def test_export_table_matches_the_submodules():
+    # the package's table repeats, name for name, the __all__ of each
+    # submodule but cli and the FtSolveError subclasses in errors (which has
+    # no __all__)
+    body = """
+import importlib, pkgutil, ftsolve
+from ftsolve import errors
+table = {}
+for name, module in ftsolve._EXPORTS.items():
+    table.setdefault(module, []).append(name)
+modules = {m.name for m in pkgutil.iter_modules(ftsolve.__path__)} - {"cli", "errors", "__main__"}
+listed = {m: sorted(importlib.import_module("ftsolve." + m).__all__) for m in modules}
+listed["errors"] = sorted(
+    k for k, v in vars(errors).items() if isinstance(v, type) and issubclass(v, errors.FtSolveError)
+)
+extra = [{m: sorted(names) for m, names in table.items()}, listed]
+"""
+    table, listed = fresh(body)["extra"]
+    assert table == listed
