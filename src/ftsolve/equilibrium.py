@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import CoincidentPoints
-from .geom_core import WeightedTetrahedron, _offsets, _point, _Record, _set
+from .geom_core import WeightedTetrahedron, _offsets, _point, _Record, _set, _unscaled
 
 __all__ = ["CaseLabel", "classify", "equilibrium_residual"]
 
@@ -50,22 +50,25 @@ def _pull(w, v, d) -> float:
 
 def classify(t: WeightedTetrahedron) -> CaseLabel:
     """Classify the minimizer as floating or absorbed at some vertex."""
-    # the terms of each vertex's pull are laid out once, at construction
-    margins = tuple([_pull(*terms) - wi for terms, wi in zip(t._pulls, t.weights)])
+    # the terms of each vertex's pull are laid out once, at construction,
+    # with the weights scaled by 2^-e
+    w, e = t._units
+    margins = [_pull(*terms) - wi for terms, wi in zip(t._pulls, w)]
     # uniqueness of the minimizer allows at most one non-positive margin
-    vertex = next((i for i, m in enumerate(margins) if m <= 0.0), None)
-    return CaseLabel(vertex, margins)
+    vertex = None if min(margins) > 0.0 else next(i for i, m in enumerate(margins) if m <= 0.0)
+    return CaseLabel(vertex, _unscaled(margins, e, "margin"))
 
 
 def equilibrium_residual(t: WeightedTetrahedron, x) -> float:
     """Norm of the weighted unit-vector sum at x; zero exactly at a floating
     minimizer."""
-    return _residual(t, *_offsets(t.vertices, _point(x)))
+    residual = _residual(t, *_offsets(t.vertices, _point(x)))
+    return _unscaled((residual,), t._units[1], "residual")[0]
 
 
 def _residual(t: WeightedTetrahedron, v, d) -> float:
-    """equilibrium_residual from the offsets and distances of x to the
-    vertices."""
+    """equilibrium_residual at the weights scaled by 2^-e (see classify), from
+    the offsets and distances of x to the vertices."""
     if min(d) <= 1e-12 * t.max_edge():
         raise CoincidentPoints("x coincides with a vertex; residual undefined")
-    return _pull(t.weights, v, d)
+    return _pull(t._units[0], v, d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DegenerateTetrahedron, NonPositiveEdge, OutOfDomain
+from .errors import DegenerateTetrahedron, FtSolveError, NonPositiveEdge, OutOfDomain
 
 __all__ = [
     "WeightedTetrahedron",
@@ -83,6 +83,29 @@ def _point(p) -> tuple[float, float, float]:
     return x
 
 
+def _vertices(values) -> tuple:
+    """_entries(values, 4, "vertices", _point), in one unpacking from a list or
+    tuple of lists or tuples; other inputs and refusals take the long way."""
+    if type(values) in (list, tuple) and set(map(type, values)) <= {list, tuple}:
+        try:
+            (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = values
+            c = tuple(map(float, (x0, y0, z0, x1, y1, z1, x2, y2, z2, x3, y3, z3)))
+            if math.isfinite(sum(c)):  # a nan or an infinity makes the sum one
+                return c[0:3], c[3:6], c[6:9], c[9:12]
+        except (TypeError, ValueError):
+            pass
+    return _entries(values, 4, "vertices", _point)
+
+
+def _unscaled(values, e: int, what: str) -> tuple:
+    """The values times 2^e (exact unless subnormal), for values computed at
+    weights scaled by 2^-e; FtSolveError if one exceeds the float range."""
+    try:
+        return tuple(map(math.ldexp, values, (e,) * len(values)))
+    except OverflowError:
+        raise FtSolveError(f"the {what} exceeds the float range") from None
+
+
 def _edge(a: float) -> float:
     """c = a*sqrt(2)/4 (see SymmetricInstance.c); NonPositiveEdge unless 0 < a < inf."""
     if not 0 < a < math.inf:
@@ -120,18 +143,28 @@ class WeightedTetrahedron(_Record):
     """Four non-coplanar vertices (4 points) with four finite positive
     weights."""
 
-    __slots__ = ("vertices", "weights", "_pulls", "_max_edge")
+    __slots__ = ("vertices", "weights", "_pulls", "_units", "_max_edge")
 
     def __init__(self, vertices, weights):
-        v = _entries(vertices, 4, "vertices", _point)
+        v = _vertices(vertices)
         w = _entries(weights, 4, "weights")
-        if not all(0 < wi < math.inf for wi in w):
+        if not (all(map(math.isfinite, w)) and min(w) > 0.0):
             raise ValueError("weights must be positive and finite")
-        # each vertex pair once: row i holds the offsets A_i - A_j and their
-        # lengths for j < i
-        rows = [_offsets(v[:i], v[i]) for i in range(1, 4)]
-        ((o10,), (d10,)), ((o20, o21), (d20, d21)), ((o30, o31, o32), (d30, d31, d32)) = rows
-        w0, w1, w2, w3 = w
+        # each vertex pair once: the offsets A_i - A_j for j < i, and their lengths
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = v
+        o10 = (x1 - x0, y1 - y0, z1 - z0)
+        o20 = (x2 - x0, y2 - y0, z2 - z0)
+        o21 = (x2 - x1, y2 - y1, z2 - z1)
+        o30 = (x3 - x0, y3 - y0, z3 - z0)
+        o31 = (x3 - x1, y3 - y1, z3 - z1)
+        o32 = (x3 - x2, y3 - y2, z3 - z2)
+        lengths = [math.sqrt(a * a + b * b + c * c) for a, b, c in (o10, o20, o21, o30, o31, o32)]
+        d10, d20, d21, d30, d31, d32 = lengths
+        # the weights scaled by the power of two (exact) that brings the largest
+        # into [0.5, 1), so the pulls and the Newton step's determinant (cubic
+        # in w) stay in range; margins, objectives and residuals are scaled back
+        we = math.frexp(max(w))[1]
+        w0, w1, w2, w3 = units = tuple(map(math.ldexp, w, (-we,) * 4))
         # the pull on A_i, sum_j w_j (A_i - A_j)/|A_i - A_j|, as equilibrium's
         # _pull takes it: (coefficients, offsets, lengths) in vertex order,
         # with A_j - A_i and the weight negated (exact) for j > i
@@ -141,21 +174,19 @@ class WeightedTetrahedron(_Record):
             ((w0, w1, -w3), (o20, o21, o32), (d20, d21, d32)),
             ((w0, w1, w2), (o30, o31, o32), (d30, d31, d32)),
         )
-        lengths = (d10, d20, d21, d30, d31, d32)
         edge = max(lengths)
         _set(self, "vertices", v)
         _set(self, "weights", w)
         _set(self, "_pulls", pulls)
+        _set(self, "_units", (units, we))
         _set(self, "_max_edge", edge)
-        # _offsets' squares stay normal; only coincident vertices measure 0
+        # the squares of the lengths stay normal; only coincident vertices measure 0
         if not 2.0**-500 <= edge <= 2.0**500 and (longest := max(_lengths(v))):
             raise OutOfDomain(f"the largest edge, {longest}, is outside [2^-500, 2^500]")
-        # the volume from edge vectors scaled by the power of two (exact)
-        # that brings the largest edge into [0.5, 1), so a^3 stays in range
+        # the volume from A_1 - A_0, A_2 - A_0 and A_3 - A_0 scaled by the power
+        # of two (exact) that brings the largest edge into [0.5, 1): a^3 stays in range
         a, e = math.frexp(edge)
-        # of A_1 - A_0, A_2 - A_0 and A_3 - A_0
-        edges = (o10, o20, o30)
-        (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = ([math.ldexp(c, -e) for c in o] for o in edges)
+        ux, uy, uz, vx, vy, vz, wx, wy, wz = map((2.0**-e).__mul__, o10 + o20 + o30)
         vol6 = abs(ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx))
         # scale-invariant coplanarity test on the signed volume
         if vol6 / 6.0 <= COPLANARITY_RTOL * a**3:

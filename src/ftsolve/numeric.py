@@ -18,6 +18,7 @@ from .geom_core import (
     WeightedTetrahedron,
     _axial_slope,
     _offsets,
+    _unscaled,
     axial_distances,
 )
 
@@ -50,9 +51,9 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     NoConvergence is raised when the residual at the last point exceeds
     1e-6 * sum(w).
 
-    It runs on the vertices scaled by a power of two (exact) into unit range,
-    so the Hessian stays in range at any edge length.  Absorbed instances
-    short-circuit to the absorbing vertex.
+    It runs on the vertices and the weights scaled by powers of two (exact)
+    into unit range, so the Hessian stays in range at any edge length and
+    any weight.  Absorbed instances short-circuit to the absorbing vertex.
     """
     label = classify(t)
     if label.floating:
@@ -60,103 +61,102 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     i = label.vertex
     # the coefficients of A_i's pull are the other weights, some negated
     coefficients, _, d = t._pulls[i]
-    return FtSolution(
-        point=t.vertices[i],
-        objective=math.fsum(abs(cj) * dj for cj, dj in zip(coefficients, d)),
-        residual=float("nan"),
-        vertex=i,
-    )
+    objective = math.fsum([abs(cj) * dj for cj, dj in zip(coefficients, d)])
+    (objective,) = _unscaled((objective,), t._units[1], "objective")
+    return FtSolution(t.vertices[i], objective, residual=math.nan, vertex=i)
 
 
 def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
     """weiszfeld on a tetrahedron already classified as floating."""
     edge, e = math.frexp(t.max_edge())
     stop = STEP_TOL * edge
-    verts = [[math.ldexp(c, -e) for c in p] for p in t.vertices]
-    w = t.weights
+    scale = 2.0**-e  # the largest edge is in [2^-500, 2^500]
+    verts = [(ax * scale, ay * scale, az * scale) for ax, ay, az in t.vertices]
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = verts
+    w, we = t._units
+    w0, w1, w2, w3 = w
     total_w = math.fsum(w)
-    x = [math.fsum(wi * p[k] for wi, p in zip(w, verts)) / total_w for k in range(3)]
-    v, d = _offsets(verts, x)
-    steps, step_len = 0, 0.0
-    for _ in range(MAX_ITER):
-        g, s, pull = _newton(w, v, d)
-        if s is not None and math.hypot(*s) < stop:
-            x = [xk + sk for xk, sk in zip(x, s)]
-            steps, step_len = steps + 1, math.hypot(*s)
+    x = [
+        math.fsum((w0 * x0, w1 * x1, w2 * x2, w3 * x3)) / total_w,
+        math.fsum((w0 * y0, w1 * y1, w2 * y2, w3 * y3)) / total_w,
+        math.fsum((w0 * z0, w1 * z1, w2 * z2, w3 * z3)) / total_w,
+    ]
+    # the start point, as a zero step from itself (any positive distances do)
+    at = _visit(w, verts, x, x, w)
+    steps, prev = 0, x
+    while at is not None:
+        x, d, _, g, s, pull = at
+        if steps == MAX_ITER:
             break
-        step = None if s is None else _damped(w, verts, x, v, d, s)
-        if step is None:
-            # x - g / sum(w_i / d_i) is the Weiszfeld average of the vertices
-            trial = [xk - gk / pull for xk, gk in zip(x, g)]
-            tv, td = _offsets(verts, trial)
-            # a step that lands on a vertex, or leaves x where it is, would
-            # only repeat this iteration
-            if trial == x or not all(0.0 < di < math.inf for di in td):
+        if s is not None and math.hypot(*s) < stop:
+            # prev is None after this closing step, which is s
+            prev, x = None, [x[0] + s[0], x[1] + s[1], x[2] + s[2]]
+            steps += 1
+            break
+        at = None if s is None else _damped(w, verts, x, d, s)
+        if at is None:
+            # the Weiszfeld average x - g / sum(w_i / d_i); one on a vertex, or
+            # at x itself, would only repeat this iteration
+            trial = [x[0] - g[0] / pull, x[1] - g[1] / pull, x[2] - g[2] / pull]
+            if trial == x or (at := _visit(w, verts, x, trial, d)) is None:
                 break
-            step = trial, tv, td
-        steps, step_len = steps + 1, math.dist(step[0], x)
-        x, v, d = step
-    point = tuple(math.ldexp(xk, e) for xk in x)
+        prev = x
+        steps += 1
+    point = (x[0] / scale, x[1] / scale, x[2] / scale)
     # one pass over the vertices at the caller's scale for both the residual
     # and the objective
     v, d = _offsets(t.vertices, point)
     residual = _residual(t, v, d)
     if residual > 1e-6 * total_w:
+        last = math.hypot(*s) if prev is None else math.dist(x, prev)
         raise NoConvergence(
-            f"residual {residual:.3e} above threshold after {steps} step(s), "
-            f"the last {math.ldexp(step_len, e):.3e} long"
+            f"residual {_unscaled((residual,), we, 'residual')[0]:.3e} above threshold after "
+            f"{steps} step(s), the last {last / scale:.3e} long"
         )
-    return FtSolution(
-        point=point,
-        objective=math.fsum(wi * di for wi, di in zip(w, d)),
-        residual=residual,
-    )
+    objective = math.fsum([wi * di for wi, di in zip(w, d)])
+    # a residual under the threshold, at most 4e-6 here, stays in range
+    objective, residual = _unscaled((objective, residual), we, "objective")
+    return FtSolution(point=point, objective=objective, residual=residual)
 
 
-def _damped(w, verts, x, v, d, s):
-    """The first of x + s, x + s/2, ... (HALVINGS halvings) that lies on no
-    vertex and lowers the objective, with its offsets and distances; None
-    if there is none.
-
-    With t = trial - x, the change f(x + t) - f(x) is summed from the
-    offsets v_i and distances d_i at x and the distances td_i at x + t as
-    w_i t.(2 v_i + t) / (d_i + td_i), with the same t for every vertex:
-    differencing f, or the offsets at the two points, would round away a
-    change this small near the minimizer."""
+def _damped(w, verts, x, d, s):
+    """_visit at the first of x + s, x + s/2, ... (HALVINGS halvings) that
+    lies on no vertex and lowers the objective; None if there is none."""
     frac = 1.0
     for _ in range(HALVINGS + 1):
-        trial = [xk + frac * sk for xk, sk in zip(x, s)]
-        tx, ty, tz = trial
-        sx, sy, sz = tx - x[0], ty - x[1], tz - x[2]
-        tv, td = [], []
-        change = 0.0
-        for wi, (ax, ay, az), (vx, vy, vz), di in zip(w, verts, v, d):
-            ox, oy, oz = tx - ax, ty - ay, tz - az
-            ti = math.sqrt(ox * ox + oy * oy + oz * oz)
-            # a trial on a vertex, or one that overflowed, is not taken
-            if not 0.0 < ti < math.inf:
-                break
-            tv.append((ox, oy, oz))
-            td.append(ti)
-            dot = sx * (vx + vx + sx) + sy * (vy + vy + sy) + sz * (vz + vz + sz)
-            change += wi * dot / (di + ti)
-        else:
-            if change < 0.0:
-                return trial, tv, td
+        trial = [x[0] + frac * s[0], x[1] + frac * s[1], x[2] + frac * s[2]]
+        at = _visit(w, verts, x, trial, d)
+        if at is not None and at[2] < 0.0:
+            return at
         frac *= 0.5
     return None
 
 
-def _newton(w, v, d):
-    """Gradient g = sum_i w_i u_i of the distance sum at x, the Newton step
-    -H^{-1} g with H = sum_i (w_i / d_i) (I - u_i u_i^T), solved by its
-    adjugate (None when H is singular or the solve is not finite), and
-    sum_i w_i / d_i; u_i = v_i / d_i."""
-    gx = gy = gz = pull = 0.0
+def _visit(w, verts, x, trial, d):
+    """One pass over the vertices at trial, a step t = trial - x from a point x
+    at distances d_i from them.  Returns trial, its distances td_i, the change
+    f(trial) - f(x) summed as w_i t.(2 v_i + t) / (d_i + td_i) with v_i = x - A_i
+    (differencing f would round away a change this small), the gradient
+    g = sum_i w_i u_i for u_i = (trial - A_i) / td_i, the Newton step -H^{-1} g
+    by the adjugate of H = sum_i (w_i / td_i) (I - u_i u_i^T) (None if H is
+    singular or the step not finite) and sum_i w_i / td_i; None if trial lies
+    on a vertex or a distance overflows."""
+    px, py, pz = x
+    tx, ty, tz = trial
+    sx, sy, sz = tx - px, ty - py, tz - pz
+    td = []
+    change = gx = gy = gz = pull = 0.0
     hxx = hyy = hzz = hxy = hxz = hyz = 0.0
-    for wi, (vx, vy, vz), di in zip(w, v, d):
-        ux, uy, uz = vx / di, vy / di, vz / di
-        k = wi / di
+    for wi, (ax, ay, az), di in zip(w, verts, d):
+        ox, oy, oz = tx - ax, ty - ay, tz - az
+        ti = math.sqrt(ox * ox + oy * oy + oz * oz)
+        if not 0.0 < ti < math.inf:
+            return None
+        td.append(ti)
+        vx, vy, vz = px - ax, py - ay, pz - az
+        change += wi * (sx * (vx + vx + sx) + sy * (vy + vy + sy) + sz * (vz + vz + sz)) / (di + ti)
+        ux, uy, uz = ox / ti, oy / ti, oz / ti
+        k = wi / ti
         pull += k
         gx += wi * ux
         gy += wi * uy
@@ -173,8 +173,8 @@ def _newton(w, v, d):
     cxy = hxz * hyz - hxy * hzz
     cxz = hxy * hyz - hxz * hyy
     det = hxx * cxx + hxy * cxy + hxz * cxz
-    if not (0.0 < det < math.inf):
-        return g, None, pull
+    if not 0.0 < det < math.inf:
+        return trial, td, change, g, None, pull
     cyy = hxx * hzz - hxz * hxz
     cyz = hxy * hxz - hxx * hyz
     czz = hxx * hyy - hxy * hxy
@@ -183,9 +183,7 @@ def _newton(w, v, d):
         -(cxy * gx + cyy * gy + cyz * gz) / det,
         -(cxz * gx + cyz * gy + czz * gz) / det,
     )
-    if not math.isfinite(s[0] + s[1] + s[2]):
-        return g, None, pull
-    return g, s, pull
+    return trial, td, change, g, s if math.isfinite(s[0] + s[1] + s[2]) else None, pull
 
 
 def reduced_objective(inst: SymmetricInstance, y: float, sign4: int = 1) -> float:

@@ -167,10 +167,8 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
     raised when a stretched vertex overflows.
     """
     # A_i' = a0 - lambda_i (a0 - A_i)
-    offsets, _ = _offsets(p.base.vertices, p.a0)
-    new_vertices = [
-        [ck - lam * ok for ck, ok in zip(p.a0, o)] for lam, o in zip(p.lambdas, offsets)
-    ]
+    (x, y, z), pairs = p.a0, zip(p.lambdas, p.base.vertices)
+    new_vertices = [(x - k * (x - a), y - k * (y - b), z - k * (z - c)) for k, (a, b, c) in pairs]
     try:
         stretched = WeightedTetrahedron(new_vertices, p.base.weights)
     except ValueError as e:

@@ -16,6 +16,7 @@ from ftsolve import (
     SymmetricInstance,
     angles_at,
     complementary_axial,
+    embed_regular,
     objective,
     solve_symmetric,
 )
@@ -281,11 +282,13 @@ def test_symmetric_edge_outside_the_tetrahedron_range(capsys, symmetric_file, ar
 
 
 @pytest.mark.parametrize(
-    "sub, a, b1", [("complementary", 1e307, 1.000000000000001), ("solve", 1e308, 2.0)]
+    "sub, a, b1",
+    [("complementary", 1e307, 1.000000000000001), ("solve", 1e308, 2.0), ("classify", 1.0, 1.7e308)],
 )
 def test_answers_beyond_the_float_range(capsys, symmetric_file, sub, a, b1):
-    # complementary printed "y_complementary": Infinity and solve
-    # "objective": Infinity, which is not JSON, with exit 0
+    # complementary printed "y_complementary": Infinity, solve
+    # "objective": Infinity and classify "margins": [..., Infinity, ...],
+    # which is not JSON, with exit 0
     code, out, err = run(capsys, [sub, "--input", symmetric_file(a=a, b1=b1), "--json"])
     assert code == 2 and out == ""
     assert err.startswith("solver error: the ") and "exceeds the float range" in err
@@ -786,26 +789,45 @@ SYMMETRIC_ARGVS = [
     ["quartic"],
     ["plasticity", "--lambda", "1,1,1,2"],
 ]
+# floating instances at weights far from 1: with the weights unscaled,
+# solve said absorbed at A1 with objective 4e-200 at 1e-200 (the answer
+# floats at 2.99e-200) and exited 2 after 100 steps at 1e200, where
+# classify printed "margins": [Infinity, ...]; at b1 = b4 = 1e-200 solve
+# said floating and classify absorbed
+SCALED_WEIGHTS = {"tiny-general": 1e-200, "huge-general": 1e200, "tiny-symmetric": 1e-200}
 JSON_CASES = [("symmetric", argv) for argv in SYMMETRIC_ARGVS] + [
-    (mode, [sub]) for mode in ("floating-general", "absorbed-general") for sub in ("solve", "classify")
+    (mode, [sub])
+    for mode in ("floating-general", "absorbed-general", *SCALED_WEIGHTS)
+    for sub in ("solve", "classify")
 ]
 
 
 @pytest.mark.parametrize("mode, argv", JSON_CASES, ids=[f"{m}-{a[0]}" for m, a in JSON_CASES])
 def test_json_output_is_strict_json(
-    capsys, symmetric_file, general_file, absorbed_file, mode, argv
+    capsys, tmp_path, symmetric_file, general_file, absorbed_file, mode, argv
 ):
     # solve on an absorbed general instance printed "residual": NaN
-    path = {
-        "symmetric": symmetric_file(),
-        "floating-general": general_file,
-        "absorbed-general": absorbed_file,
-    }[mode]
-    code, out, err = run(capsys, [argv[0], "--input", path, "--json"] + argv[1:])
+    if mode == "tiny-symmetric":
+        path = symmetric_file(b1=1e-200, b4=1e-200)
+    elif mode in SCALED_WEIGHTS:
+        path = tmp_path / "scaled.json"
+        weights = [w * SCALED_WEIGHTS[mode] for w in (1.1, 0.7, 2.0, 1.3)]
+        path.write_text(json.dumps({"mode": "general", "vertices": embed_regular(1.0), "weights": weights}))
+    else:
+        path = {
+            "symmetric": symmetric_file(),
+            "floating-general": general_file,
+            "absorbed-general": absorbed_file,
+        }[mode]
+    code, out, err = run(capsys, [argv[0], "--input", str(path), "--json"] + argv[1:])
     assert code == 0, err
     payload = json.loads(out, parse_constant=_reject_constant)
     if argv[0] == "solve":
         assert ("residual" in payload) == (payload["case"] == "floating")
+    if mode in SCALED_WEIGHTS:
+        assert payload["case"] == "floating"
+        if mode == "tiny-general" and argv[0] == "solve":
+            assert payload["objective"] == pytest.approx(2.99e-200, rel=1e-3)
 
 
 def test_absorbed_solve_prints_no_residual(capsys, absorbed_file):

@@ -14,6 +14,7 @@ from ftsolve import (
     embed_regular,
     objective,
 )
+from ftsolve.geom_core import _entries, _point, _vertices
 
 # axial coordinate of the minimizer for a=1, b1=2.5, b4=1, frozen from the
 # closed form and confirmed by bisection of the reduced objective's
@@ -131,12 +132,67 @@ def test_weighted_tetrahedron_validation():
         WeightedTetrahedron(flat, [1.0, 1.0, 1.0, 1.0])
 
 
-@pytest.mark.parametrize("weights", [{4.0, 3.0, 2.0, 1.0}, {"1": 4.0, "2": 3.0, "3": 2.0, "4": 1.0}])
-def test_weighted_tetrahedron_rejects_weights_without_an_order(weights):
-    # a set was read in its own order, here (1.0, 2.0, 3.0, 4.0), and a
-    # mapping as its keys
-    with pytest.raises(ValueError, match="weights must have 4 entries"):
-        WeightedTetrahedron(embed_regular(1.0), weights)
+REGULAR = embed_regular(1.0)
+W4 = [1.0] * 4
+
+
+@pytest.mark.parametrize(
+    "vertices, weights, message",
+    [
+        pytest.param(REGULAR, {4.0, 3.0, 2.0, 1.0}, "weights must have 4 entries", id="weights0"),
+        pytest.param(
+            REGULAR, {"1": 4.0, "2": 3.0, "3": 2.0, "4": 1.0}, "weights must have 4 entries", id="weights1"
+        ),
+        pytest.param(REGULAR, "1234", "weights must have 4 entries", id="weights-string"),
+        pytest.param(["123", *REGULAR[1:]], W4, "a point must have 3 entries", id="point-string"),
+        pytest.param([{0.0, 1.0, 2.0}, *REGULAR[1:]], W4, "a point must have 3 entries", id="point-set"),
+        pytest.param(
+            [{"x": 0.0, "y": 0.0, "z": 1.0}, *REGULAR[1:]], W4, "a point must have 3 entries", id="point-dict"
+        ),
+        pytest.param([(0.0, 0.0, 0.0, 1.0), *REGULAR[1:]], W4, "a point must have 3 entries", id="point-4"),
+        pytest.param(
+            [*REGULAR[:3], [0.0, math.nan, 0.0]], W4, "point coordinates must be finite", id="point-nan"
+        ),
+    ],
+)
+def test_weighted_tetrahedron_rejects_weights_without_an_order(vertices, weights, message):
+    # entries that are not the numbers they stand for, in order: a set of
+    # weights was read in its own order, here (1.0, 2.0, 3.0, 4.0), and a
+    # mapping as its keys; a string or set of coordinates would give a
+    # point its characters or its elements
+    with pytest.raises(ValueError, match=message):
+        WeightedTetrahedron(vertices, weights)
+
+
+UNIT = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+VERTEX_INPUTS = {
+    "ints": lambda: [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "mixed": lambda: ([0.5, 0.0, 0.0], (True, 0.0, 0.0), [0, np.float64(2.0), 0], (0.0, 0.0, 3)),
+    "huge-sum": lambda: [[1e308, 1e308, 0.0], *UNIT[1:]],
+    "numeric-string": lambda: [[1.0, "2.5", 0.0], *UNIT[1:]],
+    "five": lambda: UNIT + [[2.0, 2.0, 2.0]],
+    "array": lambda: np.eye(4, 3),
+    "generator": lambda: (p for p in UNIT),
+    "short-row": lambda: [[0.0, 0.0], *UNIT[1:]],
+    "none": lambda: [[0.0, None, 0.0], *UNIT[1:]],
+    "non-numeric-string": lambda: [[0.0, "x", 0.0], *UNIT[1:]],
+    "inf": lambda: [[0.0, 0.0, math.inf], *UNIT[1:]],
+}
+
+
+@pytest.mark.parametrize("make", VERTEX_INPUTS.values(), ids=VERTEX_INPUTS.keys())
+def test_vertices_unpacked_at_once_as_in_general(make):
+    # lists and tuples of lists and tuples are unpacked in one step; that
+    # must give what the entry-by-entry coercion gives, or its refusal
+    def outcome(coerce):
+        try:
+            return coerce(make())
+        except ValueError as e:
+            return str(e)
+
+    fast = outcome(_vertices)
+    assert fast == outcome(lambda v: _entries(v, 4, "vertices", _point))
+    assert isinstance(fast, str) or all(type(c) is float for p in fast for c in p)
 
 
 @pytest.mark.parametrize("a", [1e-110, 1e110])
@@ -180,10 +236,12 @@ def test_weighted_tetrahedron_stores_each_vertex_pair_once():
     # vertex i's pull terms are (coefficients, offsets, lengths) over j != i
     # in vertex order: A_i - A_j with w_j for j < i, and for j > i the same
     # offset tuple as vertex j's term for i, with -w_j; all tuples, so the
-    # frozen record holds nothing mutable
+    # frozen record holds nothing mutable.  The weights are scaled by the
+    # power of two that brings the largest, 4, into [0.5, 1): 2^-3
     v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
-    w = (1.0, 2.0, 3.0, 4.0)
-    t = WeightedTetrahedron(v, w)
+    t = WeightedTetrahedron(v, (1.0, 2.0, 3.0, 4.0))
+    w = (0.125, 0.25, 0.375, 0.5)
+    assert t._units == (w, 3) and t.weights == (1.0, 2.0, 3.0, 4.0)
     assert type(t._pulls) is tuple and len(t._pulls) == 4
     for i, terms in enumerate(t._pulls):
         assert all(type(part) is tuple for part in terms)

@@ -280,17 +280,24 @@ def test_newton_step_onto_a_vertex_falls_back(monkeypatch):
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         [1.6, 1.0, 1.0, 1.0],
     )
-    newton = numeric._newton
+    visit = numeric._visit
     calls = []
 
-    def onto_first_vertex(w, v, d):
-        g, s, pull = newton(w, v, d)
-        calls.append(d[0])
-        return (g, tuple(-c for c in v[0]), pull) if len(calls) == 1 else (g, s, pull)
+    def onto_first_vertex(w, verts, x, trial, d):
+        # the pass at the start point proposes the first Newton step, here
+        # the step from the start point onto A1
+        at = visit(w, verts, x, trial, d)
+        calls.append((list(trial), at))
+        if len(calls) == 1:
+            trial, td, change, g, s, pull = at
+            at = trial, td, change, g, tuple(-c for c in trial), pull
+        return at
 
-    monkeypatch.setattr(numeric, "_newton", onto_first_vertex)
+    monkeypatch.setattr(numeric, "_visit", onto_first_vertex)
     sol = weiszfeld(t)
-    assert sol.case == "floating" and 0.0 not in calls
+    # the patched proposal ran, and its trial, A1 itself, was refused
+    assert calls[0][1] is not None and calls[1] == ([0.0, 0.0, 0.0], None)
+    assert sol.case == "floating" and all(0.0 not in at[1] for _, at in calls if at)
     assert equilibrium_residual(t, sol.point) <= 1e-12 * np.sum(t.weights)
 
 
@@ -312,3 +319,29 @@ def test_stationarity_defect_at_the_midpoint():
     # slope is -(b1 + b4) c / a01 = -(b1 + b4) / sqrt(3)
     defect = numeric.stationarity_defect(REF, 0.0)
     assert defect == pytest.approx(-(REF.b1 + REF.b4) / math.sqrt(3), rel=1e-15)
+
+
+@pytest.mark.parametrize("w0", [(1.1, 0.7, 2.0, 1.3), (5.0, 1.0, 1.0, 1.0)], ids=["floating", "absorbed"])
+def test_weights_at_any_scale(w0):
+    # the pulls square sum_j w_j u_j and the Newton step's determinant is
+    # cubic in w: with the weights scaled by 2^k, classify's margins were
+    # exact only for k in [-512, 510], and weiszfeld returned another point,
+    # raised NoConvergence or a bare OverflowError outside about [-341, 337].
+    # The weights are scaled by a power of two into [0.5, 1), so every
+    # answer at 2^k w0 is the answer at w0, its values scaled by 2^k
+    def answers(weights):
+        t = regular_tet(weights)
+        label, sol = classify(t), weiszfeld(t)
+        values = (*label.margins, sol.objective)
+        if sol.case == "floating":
+            values += (sol.residual, equilibrium_residual(t, sol.point))
+        return (label.vertex, sol.vertex, sol.case, sol.point), values
+
+    key0, values0 = answers(w0)
+    assert key0[2] == ("floating" if w0[0] == 1.1 else "absorbed")
+    for k in range(-1020, 1021, 3):
+        key, values = answers([math.ldexp(w, k) for w in w0])
+        assert key == key0
+        for got, ref in zip(values, values0, strict=True):
+            if abs(math.ldexp(ref, k)) >= 2.0**-1022:  # normal floats
+                assert got == math.ldexp(ref, k)
