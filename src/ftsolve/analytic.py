@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from .errors import EqualWeights, FtSolveError
-from .geom_core import SQRT2, FtSolution, SymmetricInstance, _axial_slope, _Record, _set, axial_distances
+from .geom_core import SQRT2, FtSolution, SymmetricInstance, _axial_slope, _keep_roots, _Record
 
 __all__ = [
     "QuarticCoefficients",
@@ -40,8 +40,8 @@ class QuarticCoefficients(_Record):
     __slots__ = ("c4", "c3", "c2", "c1", "c0")
 
     def __init__(self, c4: float, c3: float, c2: float, c1: float, c0: float):
-        for name, value in zip(self.__slots__, (c4, c3, c2, c1, c0)):
-            _set(self, name, value)
+        for set_slot, value in zip(self._setters, (c4, c3, c2, c1, c0)):
+            set_slot(self, value)
 
 
 def quartic_coefficients(inst: SymmetricInstance) -> QuarticCoefficients:
@@ -107,7 +107,7 @@ def _axial_roots(inst: SymmetricInstance) -> tuple[float, float] | None:
     s = rt + math.sqrt(r)
     scale = sign * inst.a
     roots = scale * (3.0 * rt / (16.0 * (t32 + e) * s)), scale * (0.5 * s)
-    _set(inst, "_roots", roots)
+    _keep_roots(inst, roots)
     return roots
 
 
@@ -146,13 +146,9 @@ def solve_symmetric(inst: SymmetricInstance) -> FtSolution:
     Raises FtSolveError when the objective does not fit in a float.
     """
     y = ft_axial(inst)
-    a01, a04 = axial_distances(inst.a, y)
-    objective = 2.0 * (inst.b1 * a01 + inst.b4 * a04)
+    a, b1, b4 = inst.a, inst.b1, inst.b4
+    c = a * (SQRT2 / 4.0)  # axial_distances(a, y) without its edge check: the instance made it
+    objective = 2.0 * (b1 * math.hypot(a / 2.0, c - y) + b4 * math.hypot(a / 2.0, c + y))
     if not math.isfinite(objective):
-        raise FtSolveError(f"the objective exceeds the float range at a = {inst.a}")
-    return FtSolution(
-        point=(0.0, 0.0, y),
-        objective=objective,
-        residual=2.0 * abs(_axial_slope(inst.b1, inst.b4, y / inst.a, 1)),
-        y=y,
-    )
+        raise FtSolveError(f"the objective exceeds the float range at a = {a}")
+    return FtSolution((0.0, 0.0, y), objective, 2.0 * abs(_axial_slope(b1, b4, y / a, 1)), y)

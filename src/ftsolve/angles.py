@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .geom_core import SQRT2, _edge, _Record, _set
+from .geom_core import SQRT2, _edge, _Record
 
 __all__ = ["AngleSet", "angles_at"]
 
@@ -32,20 +32,22 @@ class AngleSet(_Record):
     __slots__ = ("alpha_102", "alpha_304", "alpha_cross")
 
     def __init__(self, alpha_102: float, alpha_304: float, alpha_cross: float):
-        _set(self, "alpha_102", alpha_102)
-        _set(self, "alpha_304", alpha_304)
-        _set(self, "alpha_cross", alpha_cross)
+        set_102, set_304, set_cross = self._setters
+        set_102(self, alpha_102)
+        set_304(self, alpha_304)
+        set_cross(self, alpha_cross)
 
 
 def angles_at(a: float, y: float) -> AngleSet:
     """Angles subtended by the edges at the axial point with coordinate y."""
-    _edge(a)  # the check; c is taken at the scaled edge below
+    if not 0 < a < math.inf:
+        _edge(a)  # raises its NonPositiveEdge
     a, e = math.frexp(a)
     y = math.ldexp(y, -e)
-    c = _edge(a)
+    c = a * (SQRT2 / 4.0)  # as _edge takes it, at the scaled edge
     half = a / 2.0
     return AngleSet(
-        alpha_102=2.0 * math.atan2(half, c - y),
-        alpha_304=2.0 * math.atan2(half, c + y),
-        alpha_cross=math.atan2(half * SQRT2 * math.hypot(half, y), (y - c) * (y + c)),
+        2.0 * math.atan2(half, c - y),
+        2.0 * math.atan2(half, c + y),
+        math.atan2(half * SQRT2 * math.hypot(half, y), (y - c) * (y + c)),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import CoincidentPoints
-from .geom_core import WeightedTetrahedron, _offsets, _point, _Record, _set, _unscaled
+from .geom_core import WeightedTetrahedron, _offsets, _point, _Record, _unscaled
 
 __all__ = ["CaseLabel", "classify", "equilibrium_residual"]
 
@@ -25,8 +25,9 @@ class CaseLabel(_Record):
     __slots__ = ("vertex", "margins")
 
     def __init__(self, vertex: int | None, margins: tuple[float, float, float, float]):
-        _set(self, "vertex", vertex)
-        _set(self, "margins", margins)
+        set_vertex, set_margins = self._setters
+        set_vertex(self, vertex)
+        set_margins(self, margins)
 
     @property
     def floating(self) -> bool:

@@ -30,9 +30,15 @@ SQRT2 = math.sqrt(2.0)
 class _Record:
     """An immutable record over __slots__: assignment raises AttributeError,
     and equality, hash, repr and pickling go by the public slots, in order
-    (the constructor's parameters).  Private slots hold derived values."""
+    (the constructor's parameters).  Private slots hold derived values.
+    Constructors write the slots through ``_setters``, the slot descriptors'
+    setters in slot order, looked up once per class."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
@@ -58,9 +64,6 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-_set = object.__setattr__  # for constructors: the record's own __setattr__ refuses
 
 
 def _entries(values, n: int, what: str, entry=float) -> tuple:
@@ -175,11 +178,12 @@ class WeightedTetrahedron(_Record):
             ((w0, w1, w2), (o30, o31, o32), (d30, d31, d32)),
         )
         edge = max(lengths)
-        _set(self, "vertices", v)
-        _set(self, "weights", w)
-        _set(self, "_pulls", pulls)
-        _set(self, "_units", (units, we))
-        _set(self, "_max_edge", edge)
+        set_vertices, set_weights, set_pulls, set_units, set_max_edge = self._setters
+        set_vertices(self, v)
+        set_weights(self, w)
+        set_pulls(self, pulls)
+        set_units(self, (units, we))
+        set_max_edge(self, edge)
         # the squares of the lengths stay normal; only coincident vertices measure 0
         if not 2.0**-500 <= edge <= 2.0**500 and (longest := max(_lengths(v))):
             raise OutOfDomain(f"the largest edge, {longest}, is outside [2^-500, 2^500]")
@@ -203,18 +207,20 @@ class WeightedTetrahedron(_Record):
 class SymmetricInstance(_Record):
     """Regular tetrahedron of edge ``a`` with weight pairs b1 (on A1, A2) and
     b4 (on A3, A4).  ``_roots`` holds analytic._axial_roots' answer once it
-    has been solved, and None until then."""
+    has been solved (written through _keep_roots), and None until then."""
 
     __slots__ = ("a", "b1", "b4", "_roots")
 
     def __init__(self, a: float, b1: float, b4: float):
-        _edge(a)
+        if not 0 < a < math.inf:
+            _edge(a)  # raises its NonPositiveEdge
         if not (0 < b1 < math.inf and 0 < b4 < math.inf):
             raise ValueError("weights must be positive and finite")
-        _set(self, "a", a)
-        _set(self, "b1", b1)
-        _set(self, "b4", b4)
-        _set(self, "_roots", None)
+        set_a, set_b1, set_b4, set_roots = self._setters
+        set_a(self, a)
+        set_b1(self, b1)
+        set_b4(self, b4)
+        set_roots(self, None)
 
     @property
     def c(self) -> float:
@@ -223,6 +229,9 @@ class SymmetricInstance(_Record):
 
     def tetrahedron(self) -> WeightedTetrahedron:
         return WeightedTetrahedron(embed_regular(self.a), (self.b1, self.b1, self.b4, self.b4))
+
+
+_keep_roots = SymmetricInstance._setters[3]  # the _roots slot
 
 
 def embed_regular(a: float) -> tuple[tuple[float, float, float], ...]:
@@ -245,14 +254,21 @@ def objective(points, weights, x) -> float:
     """Weighted sum of Euclidean distances from x to the given points.
 
     Signed weights are permitted (complementary problems); a point coincident
-    with x contributes zero regardless of its weight.
+    with x contributes zero regardless of its weight.  Raises FtSolveError
+    when the sum, or a term of it, exceeds the float range.
     """
     pts = [_point(p) for p in points]
     if not pts:
         raise ValueError("point list must be non-empty")
     w = _entries(weights, len(pts), "weights")
     _, d = _offsets(pts, _point(x))
-    return math.fsum(wi * di for wi, di in zip(w, d))
+    try:
+        total = math.fsum(wi * di for wi, di in zip(w, d))
+        if not math.isinf(total):
+            return total
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        pass
+    raise FtSolveError("the objective exceeds the float range")
 
 
 class FtSolution(_Record):
@@ -263,11 +279,12 @@ class FtSolution(_Record):
     __slots__ = ("point", "objective", "residual", "y", "vertex")
 
     def __init__(self, point, objective: float, residual: float, y=None, vertex=None):
-        _set(self, "point", point)
-        _set(self, "objective", objective)
-        _set(self, "residual", residual)
-        _set(self, "y", y)
-        _set(self, "vertex", vertex)
+        set_point, set_objective, set_residual, set_y, set_vertex = self._setters
+        set_point(self, point)
+        set_objective(self, objective)
+        set_residual(self, residual)
+        set_y(self, y)
+        set_vertex(self, vertex)
 
     @property
     def case(self) -> str:

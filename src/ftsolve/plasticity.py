@@ -15,7 +15,7 @@ import math
 
 from .equilibrium import classify
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
-from .geom_core import WeightedTetrahedron, _entries, _offsets, _point, _Record, _set
+from .geom_core import WeightedTetrahedron, _entries, _offsets, _point, _Record
 from .numeric import _solve_floating
 
 __all__ = [
@@ -45,9 +45,10 @@ class PlasticityInstance(_Record):
         lam = _entries(lambdas, 4, "lambdas")
         if not all(0 < k < math.inf for k in lam):
             raise ValueError("stretch factors must be positive and finite")
-        _set(self, "base", base)
-        _set(self, "a0", a0)
-        _set(self, "lambdas", lam)
+        set_base, set_a0, set_lambdas = self._setters
+        set_base(self, base)
+        set_a0(self, a0)
+        set_lambdas(self, lam)
 
 
 class DihedralData(_Record):
@@ -62,8 +63,8 @@ class DihedralData(_Record):
 
     def __init__(self, a01, a02, a03, a23, a12, a24p, alpha_123, alpha_124p, alpha_g4p):
         values = (a01, a02, a03, a23, a12, a24p, alpha_123, alpha_124p, alpha_g4p)
-        for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
 
 def _unit(*lengths):
@@ -75,14 +76,21 @@ def _unit(*lengths):
 
 
 def height_012(a01: float, a02: float, a12: float) -> float:
-    """Height of triangle A0A1A2 from A0 onto side A1A2."""
+    """Height of triangle A0A1A2 from A0 onto side A1A2.
+
+    The paper's radicand 4 a01^2 a02^2 - (a01^2 + a02^2 - a12^2)^2 (16 times
+    the squared area) is taken in Kahan's needle-triangle form ("Miscalculating
+    Area and Angles of a Needle-like Triangle", 2014): with the sides sorted
+    x >= y >= z, (x + (y + z))(z - (x - y))(z + (x - y))(x + (y - z)) keeps
+    full precision for a needle-like triangle, where the radicand cancels."""
     if a12 <= 0:
         raise DegenerateTriangle("base side a12 must be positive")
     (a01, a02, a12), e = _unit(a01, a02, a12)
-    radicand = 4.0 * a01**2 * a02**2 - (a01**2 + a02**2 - a12**2) ** 2
+    x, y, z = sorted((a01, a02, a12), reverse=True)
+    radicand = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
     if radicand < 0:
         raise DegenerateTriangle("side lengths violate the triangle inequality")
-    return math.ldexp(math.sqrt(radicand / (4.0 * a12**2)), e)
+    return math.ldexp(math.sqrt(radicand) / (2.0 * a12), e)
 
 
 def _clamped_acos(arg: float) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from ftsolve import (
     DegenerateTetrahedron,
+    FtSolveError,
     NonPositiveEdge,
     OutOfDomain,
     SymmetricInstance,
@@ -36,6 +37,21 @@ def test_objective_reference_value():
     assert val == pytest.approx(4.10710, abs=1e-4)
     a01, a04 = axial_distances(1.0, Y_REF)
     assert val == pytest.approx(2 * (2.5 * a01 + 1.0 * a04), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "weights, x",
+    [
+        ([1e308] * 4, (0.0, 0.0, 0.0)),
+        ([1e308, -1e308, 1.0, 1.0], (1e10, 0.0, 0.0)),
+        ([1e308, 1.0, 1.0, 1.0], (1e10, 0.0, 0.0)),
+    ],
+    ids=["fsum_overflow", "inf_minus_inf", "infinite_term"],
+)
+def test_objective_out_of_float_range_is_a_solver_error(weights, x):
+    # these raised a bare OverflowError or ValueError from fsum, or returned inf
+    with pytest.raises(FtSolveError, match="^the objective exceeds the float range$"):
+        objective(embed_regular(1.0), weights, x)
 
 
 def test_objective_weight_homogeneity():
@@ -307,16 +323,22 @@ def test_an_edge_whose_squares_round_to_zero_is_out_of_domain(t):
     assert float(str(err.value).split(", ")[1]) == pytest.approx(t * math.sqrt(3), rel=1e-15)
 
 
-@pytest.mark.parametrize("a", [math.inf, math.nan])
+@pytest.mark.parametrize("a", [math.inf, math.nan, 0.0, -1.0])
 @pytest.mark.parametrize(
     "call",
-    [embed_regular, lambda a: axial_distances(a, 0.0), lambda a: angles_at(a, 0.0)],
-    ids=["embed_regular", "axial_distances", "angles_at"],
+    [
+        embed_regular,
+        lambda a: axial_distances(a, 0.0),
+        lambda a: angles_at(a, 0.0),
+        lambda a: SymmetricInstance(a, 1.0, 1.0),
+    ],
+    ids=["embed_regular", "axial_distances", "angles_at", "SymmetricInstance"],
 )
 def test_axial_frame_rejects_edges_not_finite(call, a):
     # only a > 0 was tested here: angles_at(inf, 0) gave 90, 90 and 135 degrees
-    with pytest.raises(NonPositiveEdge, match="positive and finite"):
+    with pytest.raises(NonPositiveEdge) as err:
         call(a)
+    assert str(err.value) == f"edge length must be positive and finite, got {a}"
 
 
 def test_edges_whose_squares_all_round_to_zero_are_out_of_domain():

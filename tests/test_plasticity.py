@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from ftsolve import (
     DegenerateTriangle,
@@ -47,6 +48,47 @@ def test_height_isoceles_reference(ref_setup):
 
 def test_height_right_triangle():
     assert height_012(3.0, 4.0, 5.0) == pytest.approx(2.4, abs=1e-12)
+
+
+def cli_construction(b1, b4):
+    """The sides and angles the plasticity subcommand measures at a = 1 and
+    lambda = (1.5, 1.2, 0.8, 2.0)."""
+    inst = SymmetricInstance(1.0, b1, b4)
+    sol = solve_symmetric(inst)
+    v = stretch(PlasticityInstance(inst.tetrahedron(), sol.point, (1.5, 1.2, 0.8, 2.0))).vertices
+    return measure_dihedral_data(sol.point, *v)
+
+
+def heron_radicand(d):
+    """The paper's radicand 4 a01^2 a02^2 - (a01^2 + a02^2 - a12^2)^2 on the
+    float sides, at mpmath's working precision."""
+    a01, a02, a12 = mpf(d.a01), mpf(d.a02), mpf(d.a12)
+    return 4 * a01**2 * a02**2 - (a01**2 + a02**2 - a12**2) ** 2
+
+
+WEIGHT_PAIRS = {f"b1/b4=1e{k}": (10.0**k, 1.0) for k in range(1, 8)}
+WEIGHT_PAIRS.update({f"b4/b1=1e{k}": (1.0, 10.0**k) for k in range(1, 8)})
+
+
+@pytest.mark.parametrize("b1, b4", WEIGHT_PAIRS.values(), ids=WEIGHT_PAIRS.keys())
+def test_height_matches_50_digit_heron_on_the_same_sides(b1, b4):
+    # the expanded radicand cancelled for a heavy b1 pair (a needle-like
+    # triangle): relative error 1.7e-13 at b1/b4 = 1e2, 6.1e-9 at 1e4 and
+    # 3.6e-3 at 1e7
+    d = cli_construction(b1, b4)
+    with mp.workdps(50):
+        exact = mp.sqrt(heron_radicand(d)) / (2 * mpf(d.a12))
+        assert abs(height_012(d.a01, d.a02, d.a12) - exact) <= 4.4e-16 * exact
+
+
+def test_height_past_b1_heavy_1e7_is_degenerate_from_the_sides():
+    # at b1/b4 = 1e8 the measured float sides break the triangle inequality
+    # even in 60-digit arithmetic: the refusal is inherent to the lengths
+    d = cli_construction(1e8, 1.0)
+    with mp.workdps(60):
+        assert heron_radicand(d) < 0
+    with pytest.raises(DegenerateTriangle):
+        height_012(d.a01, d.a02, d.a12)
 
 
 def test_height_degenerate():

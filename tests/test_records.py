@@ -45,6 +45,7 @@ def test_every_field_is_read_only(kind):
     rec = make_records()[kind]
     before = repr(rec)
     for name in type(rec).__slots__:  # the private slots too
+        getattr(rec, name)  # every slot was filled: an unset slot raises AttributeError
         with pytest.raises(AttributeError):
             setattr(rec, name, 1.0)
         with pytest.raises(AttributeError):

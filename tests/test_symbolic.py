@@ -19,6 +19,8 @@ X^3 = W/d^2, and the roots (sqrt(t) -+ sqrt(R))/2 are evaluated through
 the cancellation-free rewrites proved below.
 """
 
+import itertools
+
 import pytest
 import sympy as sp
 
@@ -157,3 +159,13 @@ def test_axial_slope_rationalization(sign4):
     squares = {a01**2: h + (c - y) ** 2, a04**2: h + (c + y) ** 2}
     assert sp.expand(difference.subs(squares) - 4 * h * c * y) == 0
     assert (4 * h * c).subs(a, 1) == c.subs(a, 1)
+
+
+def test_kahan_height_product_is_the_papers_radicand():
+    # plasticity.height_012 sorts the sides x >= y >= z; the product is the
+    # paper's radicand for every assignment of a01, a02, a12 to x, y, z
+    a01, a02, a12 = sides = sp.symbols("a01 a02 a12", positive=True)
+    radicand = 4 * a01**2 * a02**2 - (a01**2 + a02**2 - a12**2) ** 2
+    for x, y, z in itertools.permutations(sides):
+        kahan = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
+        assert sp.expand(kahan - radicand) == 0
