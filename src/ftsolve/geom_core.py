@@ -25,6 +25,7 @@ __all__ = [
 
 COPLANARITY_RTOL = 1e-12
 SQRT2 = math.sqrt(2.0)
+_MIN_NORMAL = 2.0**-1022
 
 
 class _Record:
@@ -136,10 +137,18 @@ def _lengths(points):
     return [math.dist(p, q) for i, p in enumerate(points) for q in points[:i]]
 
 
+def _length(ox: float, oy: float, oz: float) -> float:
+    """|(ox, oy, oz)| as the square root of the sum of squares, or by
+    math.hypot where that sum leaves the normal range: it overflows, or
+    underflows and loses digits."""
+    s = ox * ox + oy * oy + oz * oz
+    return math.sqrt(s) if _MIN_NORMAL <= s < math.inf else math.hypot(ox, oy, oz)
+
+
 def _offsets(points, x):
     """Offsets x - A_i and distances |x - A_i| from x to each point A_i."""
     v = [(x[0] - a[0], x[1] - a[1], x[2] - a[2]) for a in points]
-    return v, [math.sqrt(ox * ox + oy * oy + oz * oz) for ox, oy, oz in v]
+    return v, [_length(ox, oy, oz) for ox, oy, oz in v]
 
 
 class WeightedTetrahedron(_Record):
@@ -155,21 +164,27 @@ class WeightedTetrahedron(_Record):
             raise ValueError("weights must be positive and finite")
         # each vertex pair once: the offsets A_i - A_j for j < i, and their lengths
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = v
-        o10 = (x1 - x0, y1 - y0, z1 - z0)
-        o20 = (x2 - x0, y2 - y0, z2 - z0)
-        o21 = (x2 - x1, y2 - y1, z2 - z1)
-        o30 = (x3 - x0, y3 - y0, z3 - z0)
-        o31 = (x3 - x1, y3 - y1, z3 - z1)
-        o32 = (x3 - x2, y3 - y2, z3 - z2)
-        lengths = [math.sqrt(a * a + b * b + c * c) for a, b, c in (o10, o20, o21, o30, o31, o32)]
-        d10, d20, d21, d30, d31, d32 = lengths
+        o10 = x10, y10, z10 = x1 - x0, y1 - y0, z1 - z0
+        o20 = x20, y20, z20 = x2 - x0, y2 - y0, z2 - z0
+        o21 = x21, y21, z21 = x2 - x1, y2 - y1, z2 - z1
+        o30 = x30, y30, z30 = x3 - x0, y3 - y0, z3 - z0
+        o31 = x31, y31, z31 = x3 - x1, y3 - y1, z3 - z1
+        o32 = x32, y32, z32 = x3 - x2, y3 - y2, z3 - z2
+        sqrt = math.sqrt
+        d10 = sqrt(x10 * x10 + y10 * y10 + z10 * z10)
+        d20 = sqrt(x20 * x20 + y20 * y20 + z20 * z20)
+        d21 = sqrt(x21 * x21 + y21 * y21 + z21 * z21)
+        d30 = sqrt(x30 * x30 + y30 * y30 + z30 * z30)
+        d31 = sqrt(x31 * x31 + y31 * y31 + z31 * z31)
+        d32 = sqrt(x32 * x32 + y32 * y32 + z32 * z32)
         # the weights scaled by the power of two (exact) that brings the largest
         # into [0.5, 1), so the pulls and the Newton step's determinant (cubic
         # in w) stay in range; margins, objectives and residuals are scaled back
         we = math.frexp(max(w))[1]
-        w0, w1, w2, w3 = units = tuple(map(math.ldexp, w, (-we,) * 4))
+        ldexp = math.ldexp
+        w0, w1, w2, w3 = units = ldexp(w[0], -we), ldexp(w[1], -we), ldexp(w[2], -we), ldexp(w[3], -we)
         # the pull on A_i, sum_j w_j (A_i - A_j)/|A_i - A_j|, as equilibrium's
-        # _pull takes it: (coefficients, offsets, lengths) in vertex order,
+        # _pull3 takes it: (coefficients, offsets, lengths) in vertex order,
         # with A_j - A_i and the weight negated (exact) for j > i
         pulls = (
             ((-w1, -w2, -w3), (o10, o20, o30), (d10, d20, d30)),
@@ -177,7 +192,7 @@ class WeightedTetrahedron(_Record):
             ((w0, w1, -w3), (o20, o21, o32), (d20, d21, d32)),
             ((w0, w1, w2), (o30, o31, o32), (d30, d31, d32)),
         )
-        edge = max(lengths)
+        edge = max(d10, d20, d21, d30, d31, d32)
         set_vertices, set_weights, set_pulls, set_units, set_max_edge = self._setters
         set_vertices(self, v)
         set_weights(self, w)
@@ -190,13 +205,16 @@ class WeightedTetrahedron(_Record):
         # the volume from A_1 - A_0, A_2 - A_0 and A_3 - A_0 scaled by the power
         # of two (exact) that brings the largest edge into [0.5, 1): a^3 stays in range
         a, e = math.frexp(edge)
-        ux, uy, uz, vx, vy, vz, wx, wy, wz = map((2.0**-e).__mul__, o10 + o20 + o30)
+        s = 2.0**-e
+        ux, uy, uz = x10 * s, y10 * s, z10 * s
+        vx, vy, vz = x20 * s, y20 * s, z20 * s
+        wx, wy, wz = x30 * s, y30 * s, z30 * s
         vol6 = abs(ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx))
         # scale-invariant coplanarity test on the signed volume
         if vol6 / 6.0 <= COPLANARITY_RTOL * a**3:
             raise DegenerateTetrahedron("vertices are coplanar within tolerance")
         # edges down to 7e-12 of the largest pass, and squares can round to 0 below 2.8e-162
-        if 0.0 in lengths:
+        if 0.0 in (d10, d20, d21, d30, d31, d32):
             raise OutOfDomain(f"the shortest edge, {min(_lengths(v))}, squares to 0")
 
     def max_edge(self) -> float:
@@ -253,14 +271,17 @@ def axial_distances(a: float, y: float) -> tuple[float, float]:
 def objective(points, weights, x) -> float:
     """Weighted sum of Euclidean distances from x to the given points.
 
-    Signed weights are permitted (complementary problems); a point coincident
-    with x contributes zero regardless of its weight.  Raises FtSolveError
-    when the sum, or a term of it, exceeds the float range.
+    Signed weights are permitted (complementary problems), but not infinite
+    or nan ones; a point coincident with x contributes zero regardless of its
+    weight.  Raises FtSolveError when the sum, or a term of it, exceeds the
+    float range.
     """
     pts = [_point(p) for p in points]
     if not pts:
         raise ValueError("point list must be non-empty")
     w = _entries(weights, len(pts), "weights")
+    if not all(map(math.isfinite, w)):
+        raise ValueError("weights must be finite")
     _, d = _offsets(pts, _point(x))
     try:
         total = math.fsum(wi * di for wi, di in zip(w, d))

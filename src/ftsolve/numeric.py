@@ -67,7 +67,10 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
 
 
 def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
-    """weiszfeld on a tetrahedron already classified as floating."""
+    """weiszfeld on a tetrahedron already classified as floating.  The loop and
+    the finish run on the vertices scaled by 2^-e, which is exact in the normal
+    range the edge bound keeps offsets and distances in: each (w o)/d and
+    fsum(w d) 2^e is the float the caller's scale gives, with no second pass."""
     edge, e = math.frexp(t.max_edge())
     stop = STEP_TOL * edge
     scale = 2.0**-e  # the largest edge is in [2^-500, 2^500]
@@ -93,7 +96,10 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
             prev, x = None, [x[0] + s[0], x[1] + s[1], x[2] + s[2]]
             steps += 1
             break
-        at = None if s is None else _damped(w, verts, x, d, s)
+        at = None if s is None else _visit(w, verts, x, [x[0] + s[0], x[1] + s[1], x[2] + s[2]], d)
+        if s is not None and (at is None or not at[2] < 0.0):
+            # the full Newton step is refused: its halvings
+            at = _damped(w, verts, x, d, s)
         if at is None:
             # the Weiszfeld average x - g / sum(w_i / d_i); one on a vertex, or
             # at x itself, would only repeat this iteration
@@ -102,33 +108,31 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
                 break
         prev = x
         steps += 1
-    point = (x[0] / scale, x[1] / scale, x[2] / scale)
-    # one pass over the vertices at the caller's scale for both the residual
-    # and the objective
-    v, d = _offsets(t.vertices, point)
-    residual = _residual(t, v, d)
+    v, d = _offsets(verts, x)
+    residual = _residual(w, v, d, edge)
     if residual > 1e-6 * total_w:
         last = math.hypot(*s) if prev is None else math.dist(x, prev)
         raise NoConvergence(
             f"residual {_unscaled((residual,), we, 'residual')[0]:.3e} above threshold after "
             f"{steps} step(s), the last {last / scale:.3e} long"
         )
-    objective = math.fsum([wi * di for wi, di in zip(w, d)])
+    d0, d1, d2, d3 = d
+    # at least w_max d_max >= 1/8 here, so 2^e leaves it normal and exact
+    objective = math.ldexp(math.fsum((w0 * d0, w1 * d1, w2 * d2, w3 * d3)), e)
     # a residual under the threshold, at most 4e-6 here, stays in range
     objective, residual = _unscaled((objective, residual), we, "objective")
-    return FtSolution(point=point, objective=objective, residual=residual)
+    return FtSolution(point=(x[0] / scale, x[1] / scale, x[2] / scale), objective=objective, residual=residual)
 
 
 def _damped(w, verts, x, d, s):
-    """_visit at the first of x + s, x + s/2, ... (HALVINGS halvings) that
+    """_visit at the first of x + s/2, x + s/4, ... (HALVINGS halvings) that
     lies on no vertex and lowers the objective; None if there is none."""
     frac = 1.0
-    for _ in range(HALVINGS + 1):
-        trial = [x[0] + frac * s[0], x[1] + frac * s[1], x[2] + frac * s[2]]
-        at = _visit(w, verts, x, trial, d)
+    for _ in range(HALVINGS):
+        frac *= 0.5
+        at = _visit(w, verts, x, [x[0] + frac * s[0], x[1] + frac * s[1], x[2] + frac * s[2]], d)
         if at is not None and at[2] < 0.0:
             return at
-        frac *= 0.5
     return None
 
 
@@ -140,41 +144,59 @@ def _visit(w, verts, x, trial, d):
     g = sum_i w_i u_i for u_i = (trial - A_i) / td_i, the Newton step -H^{-1} g
     by the adjugate of H = sum_i (w_i / td_i) (I - u_i u_i^T) (None if H is
     singular or the step not finite) and sum_i w_i / td_i; None if trial lies
-    on a vertex or a distance overflows."""
+    on a vertex or a distance overflows.  The four vertices are written out;
+    each sum runs in vertex order, the signed ones from 0.0."""
+    w0, w1, w2, w3 = w
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = verts
+    d0, d1, d2, d3 = d
     px, py, pz = x
     tx, ty, tz = trial
     sx, sy, sz = tx - px, ty - py, tz - pz
-    td = []
-    change = gx = gy = gz = pull = 0.0
-    hxx = hyy = hzz = hxy = hxz = hyz = 0.0
-    for wi, (ax, ay, az), di in zip(w, verts, d):
-        ox, oy, oz = tx - ax, ty - ay, tz - az
-        ti = math.sqrt(ox * ox + oy * oy + oz * oz)
-        if not 0.0 < ti < math.inf:
-            return None
-        td.append(ti)
-        vx, vy, vz = px - ax, py - ay, pz - az
-        change += wi * (sx * (vx + vx + sx) + sy * (vy + vy + sy) + sz * (vz + vz + sz)) / (di + ti)
-        ux, uy, uz = ox / ti, oy / ti, oz / ti
-        k = wi / ti
-        pull += k
-        gx += wi * ux
-        gy += wi * uy
-        gz += wi * uz
-        # the diagonal as a sum of squares, free of cancellation
-        hxx += k * (uy * uy + uz * uz)
-        hyy += k * (ux * ux + uz * uz)
-        hzz += k * (ux * ux + uy * uy)
-        hxy -= k * ux * uy
-        hxz -= k * ux * uz
-        hyz -= k * uy * uz
-    g = (gx, gy, gz)
+    ox0, oy0, oz0 = tx - x0, ty - y0, tz - z0
+    ox1, oy1, oz1 = tx - x1, ty - y1, tz - z1
+    ox2, oy2, oz2 = tx - x2, ty - y2, tz - z2
+    ox3, oy3, oz3 = tx - x3, ty - y3, tz - z3
+    sqrt, inf = math.sqrt, math.inf
+    t0 = sqrt(ox0 * ox0 + oy0 * oy0 + oz0 * oz0)
+    t1 = sqrt(ox1 * ox1 + oy1 * oy1 + oz1 * oz1)
+    t2 = sqrt(ox2 * ox2 + oy2 * oy2 + oz2 * oz2)
+    t3 = sqrt(ox3 * ox3 + oy3 * oy3 + oz3 * oz3)
+    if not (0.0 < t0 < inf and 0.0 < t1 < inf and 0.0 < t2 < inf and 0.0 < t3 < inf):
+        return None
+    # 2 v_i + t, with v_i + v_i taken as the exact 2.0 * v_i
+    qx0, qy0, qz0 = 2.0 * (px - x0) + sx, 2.0 * (py - y0) + sy, 2.0 * (pz - z0) + sz
+    qx1, qy1, qz1 = 2.0 * (px - x1) + sx, 2.0 * (py - y1) + sy, 2.0 * (pz - z1) + sz
+    qx2, qy2, qz2 = 2.0 * (px - x2) + sx, 2.0 * (py - y2) + sy, 2.0 * (pz - z2) + sz
+    qx3, qy3, qz3 = 2.0 * (px - x3) + sx, 2.0 * (py - y3) + sy, 2.0 * (pz - z3) + sz
+    change = 0.0 + w0 * (sx * qx0 + sy * qy0 + sz * qz0) / (d0 + t0)
+    change += w1 * (sx * qx1 + sy * qy1 + sz * qz1) / (d1 + t1)
+    change += w2 * (sx * qx2 + sy * qy2 + sz * qz2) / (d2 + t2)
+    change += w3 * (sx * qx3 + sy * qy3 + sz * qz3) / (d3 + t3)
+    ux0, uy0, uz0, k0 = ox0 / t0, oy0 / t0, oz0 / t0, w0 / t0
+    ux1, uy1, uz1, k1 = ox1 / t1, oy1 / t1, oz1 / t1, w1 / t1
+    ux2, uy2, uz2, k2 = ox2 / t2, oy2 / t2, oz2 / t2, w2 / t2
+    ux3, uy3, uz3, k3 = ox3 / t3, oy3 / t3, oz3 / t3, w3 / t3
+    pull = k0 + k1 + k2 + k3
+    gx = 0.0 + w0 * ux0 + w1 * ux1 + w2 * ux2 + w3 * ux3
+    gy = 0.0 + w0 * uy0 + w1 * uy1 + w2 * uy2 + w3 * uy3
+    gz = 0.0 + w0 * uz0 + w1 * uz1 + w2 * uz2 + w3 * uz3
+    # the diagonal as a sum of squares, free of cancellation
+    xx0, yy0, zz0 = ux0 * ux0, uy0 * uy0, uz0 * uz0
+    xx1, yy1, zz1 = ux1 * ux1, uy1 * uy1, uz1 * uz1
+    xx2, yy2, zz2 = ux2 * ux2, uy2 * uy2, uz2 * uz2
+    xx3, yy3, zz3 = ux3 * ux3, uy3 * uy3, uz3 * uz3
+    hxx = k0 * (yy0 + zz0) + k1 * (yy1 + zz1) + k2 * (yy2 + zz2) + k3 * (yy3 + zz3)
+    hyy = k0 * (xx0 + zz0) + k1 * (xx1 + zz1) + k2 * (xx2 + zz2) + k3 * (xx3 + zz3)
+    hzz = k0 * (xx0 + yy0) + k1 * (xx1 + yy1) + k2 * (xx2 + yy2) + k3 * (xx3 + yy3)
+    hxy = 0.0 - k0 * ux0 * uy0 - k1 * ux1 * uy1 - k2 * ux2 * uy2 - k3 * ux3 * uy3
+    hxz = 0.0 - k0 * ux0 * uz0 - k1 * ux1 * uz1 - k2 * ux2 * uz2 - k3 * ux3 * uz3
+    hyz = 0.0 - k0 * uy0 * uz0 - k1 * uy1 * uz1 - k2 * uy2 * uz2 - k3 * uy3 * uz3
     cxx = hyy * hzz - hyz * hyz
     cxy = hxz * hyz - hxy * hzz
     cxz = hxy * hyz - hxz * hyy
     det = hxx * cxx + hxy * cxy + hxz * cxz
-    if not 0.0 < det < math.inf:
-        return trial, td, change, g, None, pull
+    if not 0.0 < det < inf:
+        return trial, [t0, t1, t2, t3], change, (gx, gy, gz), None, pull
     cyy = hxx * hzz - hxz * hxz
     cyz = hxy * hxz - hxx * hyz
     czz = hxx * hyy - hxy * hxy
@@ -183,7 +205,8 @@ def _visit(w, verts, x, trial, d):
         -(cxy * gx + cyy * gy + cyz * gz) / det,
         -(cxz * gx + cyz * gy + czz * gz) / det,
     )
-    return trial, td, change, g, s if math.isfinite(s[0] + s[1] + s[2]) else None, pull
+    s = s if math.isfinite(s[0] + s[1] + s[2]) else None
+    return trial, [t0, t1, t2, t3], change, (gx, gy, gz), s, pull
 
 
 def reduced_objective(inst: SymmetricInstance, y: float, sign4: int = 1) -> float:

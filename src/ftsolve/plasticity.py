@@ -15,7 +15,7 @@ import math
 
 from .equilibrium import classify
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
-from .geom_core import WeightedTetrahedron, _entries, _offsets, _point, _Record
+from .geom_core import _MIN_NORMAL, WeightedTetrahedron, _entries, _offsets, _point, _Record
 from .numeric import _solve_floating
 
 __all__ = [
@@ -136,21 +136,36 @@ def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _cos_between(u, du: float, v, dv: float) -> float:
+    """u.v / (du dv), the cosine of the angle between the vectors u and v of
+    lengths du and dv; from the unit vectors where du dv leaves the normal
+    range.  OutOfDomain if a length is 0: the angle is undefined."""
+    if du == 0.0 or dv == 0.0:
+        raise OutOfDomain("the angle is undefined: a direction has zero length")
+    n = du * dv
+    if _MIN_NORMAL <= n < math.inf:
+        return _dot(u, v) / n
+    return _dot([c / du for c in u], [c / dv for c in v])
+
+
 def vertex_angle(apex, p, q) -> float:
     """Angle at apex between the directions toward p and q."""
     (u, v), (du, dv) = _offsets((_point(p), _point(q)), _point(apex))
-    return _clamped_acos(_dot(u, v) / (du * dv))
+    return _clamped_acos(_cos_between(u, du, v, dv))
 
 
 def dihedral_angle(edge_p, edge_q, c1, c2) -> float:
-    """Dihedral along edge pq between the half-planes containing c1 and c2."""
+    """Dihedral along edge pq between the half-planes containing c1 and c2;
+    OutOfDomain if p = q or c1 or c2 lies on the line pq."""
     p, q, c1, c2 = map(_point, (edge_p, edge_q, c1, c2))
     (e, o1, o2), (de, _, _) = _offsets((q, c1, c2), p)
+    if de == 0.0:
+        raise OutOfDomain("the angle is undefined: the edge has zero length")
     # the parts of the offsets to c1 and c2 normal to the edge
     e = [ek / de for ek in e]
     v1 = [ok - _dot(o1, e) * ek for ok, ek in zip(o1, e)]
     v2 = [ok - _dot(o2, e) * ek for ok, ek in zip(o2, e)]
-    return _clamped_acos(_dot(v1, v2) / (math.hypot(*v1) * math.hypot(*v2)))
+    return _clamped_acos(_cos_between(v1, math.hypot(*v1), v2, math.hypot(*v2)))
 
 
 def measure_dihedral_data(a0, a1, a2, a3, a4p) -> DihedralData:

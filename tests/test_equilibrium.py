@@ -87,6 +87,13 @@ def test_residual_at_center_unequal_weights():
     )
 
 
+def test_residual_where_the_squares_overflow_is_the_weight_sum():
+    # far from the vertices every unit vector is (1, 0, 0); the squares of
+    # the offsets overflowed, the distances read inf and the residual 0.0
+    t = WeightedTetrahedron(embed_regular(1.0), (1.1, 0.7, 2.0, 1.3))
+    assert equilibrium_residual(t, (1e160, 0.0, 0.0)) == pytest.approx(5.1, rel=1e-15)
+
+
 def test_residual_at_vertex_raises():
     t = regular_tet([1.0, 1.0, 1.0, 1.0])
     with pytest.raises(CoincidentPoints):

@@ -54,6 +54,29 @@ def test_objective_out_of_float_range_is_a_solver_error(weights, x):
         objective(embed_regular(1.0), weights, x)
 
 
+@pytest.mark.parametrize(
+    "points, x, expected",
+    [
+        (embed_regular(1.0), (1e160, 0.0, 0.0), 4e160),
+        ([(0.0, 0.0, 0.0)], (3e-170, 4e-170, 0.0), 5e-170),
+    ],
+    ids=["squares_overflow", "squares_underflow"],
+)
+def test_objective_at_distances_whose_squares_leave_the_normal_range(points, x, expected):
+    # the sum of squares overflowed (the objective raised) or underflowed to
+    # 0 (the objective read 0.0); those distances are measured by hypot
+    assert objective(points, [1.0] * len(points), x) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_objective_refuses_weights_not_finite(bad):
+    # a nan weight returned nan, an infinite one "exceeds the float range"
+    v = embed_regular(1.0)
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        objective(v, [1.0, bad, 1.0, 1.0], (0.1, 0.2, 0.3))
+    assert math.isfinite(objective(v, [1.0, -2.0, 1.0, 1.0], (0.1, 0.2, 0.3)))
+
+
 def test_objective_weight_homogeneity():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(4, 3))

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -345,3 +346,87 @@ def test_weights_at_any_scale(w0):
         for got, ref in zip(values, values0, strict=True):
             if abs(math.ldexp(ref, k)) >= 2.0**-1022:  # normal floats
                 assert got == math.ldexp(ref, k)
+
+
+def per_vertex_visit(w, verts, x, trial, d):
+    """The Newton pass as the loop over the vertices that _visit ran before
+    it was written out for four: every sum from 0.0, in vertex order."""
+    px, py, pz = x
+    tx, ty, tz = trial
+    sx, sy, sz = tx - px, ty - py, tz - pz
+    td = []
+    change = gx = gy = gz = pull = 0.0
+    hxx = hyy = hzz = hxy = hxz = hyz = 0.0
+    for wi, (ax, ay, az), di in zip(w, verts, d):
+        ox, oy, oz = tx - ax, ty - ay, tz - az
+        ti = math.sqrt(ox * ox + oy * oy + oz * oz)
+        if not 0.0 < ti < math.inf:
+            return None
+        td.append(ti)
+        vx, vy, vz = px - ax, py - ay, pz - az
+        change += wi * (sx * (vx + vx + sx) + sy * (vy + vy + sy) + sz * (vz + vz + sz)) / (di + ti)
+        ux, uy, uz = ox / ti, oy / ti, oz / ti
+        k = wi / ti
+        pull += k
+        gx += wi * ux
+        gy += wi * uy
+        gz += wi * uz
+        hxx += k * (uy * uy + uz * uz)
+        hyy += k * (ux * ux + uz * uz)
+        hzz += k * (ux * ux + uy * uy)
+        hxy -= k * ux * uy
+        hxz -= k * ux * uz
+        hyz -= k * uy * uz
+    g = (gx, gy, gz)
+    cxx = hyy * hzz - hyz * hyz
+    cxy = hxz * hyz - hxy * hzz
+    cxz = hxy * hyz - hxz * hyy
+    det = hxx * cxx + hxy * cxy + hxz * cxz
+    if not 0.0 < det < math.inf:
+        return trial, td, change, g, None, pull
+    cyy = hxx * hzz - hxz * hxz
+    cyz = hxy * hxz - hxx * hyz
+    czz = hxx * hyy - hxy * hxy
+    s = (
+        -(cxx * gx + cxy * gy + cxz * gz) / det,
+        -(cxy * gx + cyy * gy + cyz * gz) / det,
+        -(cxz * gx + cyz * gy + czz * gz) / det,
+    )
+    return trial, td, change, g, s if math.isfinite(s[0] + s[1] + s[2]) else None, pull
+
+
+def float_bits(value):
+    """value with every float replaced by its hex form, so that -0.0 and 0.0
+    differ; lists and tuples keep their type."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return type(value)(float_bits(v) for v in value)
+    return value
+
+
+def test_newton_pass_equals_the_per_vertex_loop():
+    # _visit is written out for the four vertices with each sum in the
+    # loop's order, so every returned float must match bit for bit, signed
+    # zeros included; trials on a vertex return None and collinear points a
+    # singular Hessian (no step).  Points and weights are scaled by 2^k.
+    rng = np.random.default_rng(20)
+    kinds = collections.Counter()
+    for n in range(1500):
+        k = (0, 400, -400)[n % 3]
+        verts = [tuple(math.ldexp(c, k) for c in p) for p in rng.uniform(-1.0, 1.0, size=(4, 3))]
+        w = [math.ldexp(c, k) for c in np.exp(rng.uniform(-2.0, 0.0, size=4))]
+        x = [math.ldexp(c, k) for c in rng.uniform(-1.0, 1.0, size=3)]
+        trial = [c + math.ldexp(s, k) for c, s in zip(x, rng.normal(scale=0.1, size=3))]
+        if n % 20 == 7:  # the vertices and both points on the x axis
+            verts = [(v[0], 0.0, 0.0) for v in verts]
+            x[1:], trial[1:] = [0.0, 0.0], [0.0, -0.0]
+        elif n % 10 == 3:
+            trial = list(verts[n % 4])
+        elif n % 10 == 5:  # the start point: a zero step, the weights as distances
+            trial = x
+        d = w if trial is x else [math.dist(x, v) for v in verts]
+        expected = per_vertex_visit(w, verts, x, trial, d)
+        assert float_bits(numeric._visit(w, verts, x, trial, d)) == float_bits(expected)
+        kinds[k, "on_vertex" if expected is None else "singular" if expected[4] is None else "step"] += 1
+    assert len(kinds) == 9 and min(kinds.values()) >= 10

@@ -20,6 +20,7 @@ from ftsolve import (
     solve_symmetric,
     stretch,
     verify_invariance,
+    vertex_angle,
 )
 
 REF = SymmetricInstance(a=1.0, b1=2.5, b4=1.0)
@@ -320,3 +321,30 @@ def test_invariance_needs_the_newton_step_halving():
     lambdas = (0.8349940227937647, 0.5458602178513564, 2.631132517324947, 0.628112545042036)
     a0 = solve_symmetric(inst).point
     assert verify_invariance(make_instance(inst.tetrahedron(), a0, lambdas)) <= 1e-7 * a
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_angle_helpers_at_any_scale(scale):
+    # at 1e200 the dot product overflowed and vertex_angle read pi; at
+    # 1e-200 the product of the lengths underflowed to 0 and both raised
+    # ZeroDivisionError
+    o, x, y = (0.0, 0.0, 0.0), (scale, 0.0, 0.0), (0.0, scale, 0.0)
+    assert vertex_angle(o, (scale, scale, 0.0), x) == pytest.approx(math.pi / 4, rel=1e-15)
+    assert dihedral_angle(o, x, y, (0.0, scale, scale)) == pytest.approx(math.pi / 4, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "helper, args",
+    [
+        (vertex_angle, ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (0.0, 0.0, 1.0))),
+        (vertex_angle, ((1.0, 2.0, 3.0), (0.0, 0.0, 1.0), (1.0, 2.0, 3.0))),
+        (dihedral_angle, ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 0.0, 1.0))),
+        (dihedral_angle, ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (-3.0, 0.0, 0.0))),
+        (dihedral_angle, ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))),
+    ],
+    ids=["apex_is_p", "apex_is_q", "c1_on_the_edge_line", "c2_on_the_edge_line", "edge_of_length_0"],
+)
+def test_angle_helpers_refuse_undefined_angles(helper, args):
+    # each raised a bare ZeroDivisionError
+    with pytest.raises(OutOfDomain, match="^the angle is undefined: "):
+        helper(*args)
