@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .equilibrium import _residual, classify
-from .errors import NoConvergence
+from .errors import FtSolveError, NoConvergence
 from .geom_core import (
     SQRT2,
     FtSolution,
@@ -36,6 +36,7 @@ __all__ = [
 MAX_ITER = 100
 HALVINGS = 4
 STEP_TOL = 1e-12
+_TRIALS = tuple(0.5**k for k in range(HALVINGS + 1))  # 1, 1/2, ..., all exact
 
 
 def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
@@ -67,10 +68,11 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
 
 
 def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
-    """weiszfeld on a tetrahedron already classified as floating.  The loop and
-    the finish run on the vertices scaled by 2^-e, which is exact in the normal
-    range the edge bound keeps offsets and distances in: each (w o)/d and
-    fsum(w d) 2^e is the float the caller's scale gives, with no second pass."""
+    """weiszfeld on a tetrahedron already classified as floating: each step goes
+    to the first x + f s, f in _TRIALS, on no vertex that lowers the objective,
+    else to the Weiszfeld average.  It runs on the vertices scaled by 2^-e, exact
+    in the normal range the edge bound keeps offsets and distances in, so each
+    (w o)/d and fsum(w d) 2^e is the caller's-scale float, with no second pass."""
     edge, e = math.frexp(t.max_edge())
     stop = STEP_TOL * edge
     scale = 2.0**-e  # the largest edge is in [2^-500, 2^500]
@@ -96,10 +98,12 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
             prev, x = None, [x[0] + s[0], x[1] + s[1], x[2] + s[2]]
             steps += 1
             break
-        at = None if s is None else _visit(w, verts, x, [x[0] + s[0], x[1] + s[1], x[2] + s[2]], d)
-        if s is not None and (at is None or not at[2] < 0.0):
-            # the full Newton step is refused: its halvings
-            at = _damped(w, verts, x, d, s)
+        at = None
+        for frac in _TRIALS if s is not None else ():
+            at = _visit(w, verts, x, [x[0] + frac * s[0], x[1] + frac * s[1], x[2] + frac * s[2]], d)
+            if at is not None and at[2] < 0.0:
+                break
+            at = None
         if at is None:
             # the Weiszfeld average x - g / sum(w_i / d_i); one on a vertex, or
             # at x itself, would only repeat this iteration
@@ -122,18 +126,6 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
     # a residual under the threshold, at most 4e-6 here, stays in range
     objective, residual = _unscaled((objective, residual), we, "objective")
     return FtSolution(point=(x[0] / scale, x[1] / scale, x[2] / scale), objective=objective, residual=residual)
-
-
-def _damped(w, verts, x, d, s):
-    """_visit at the first of x + s/2, x + s/4, ... (HALVINGS halvings) that
-    lies on no vertex and lowers the objective; None if there is none."""
-    frac = 1.0
-    for _ in range(HALVINGS):
-        frac *= 0.5
-        at = _visit(w, verts, x, [x[0] + frac * s[0], x[1] + frac * s[1], x[2] + frac * s[2]], d)
-        if at is not None and at[2] < 0.0:
-            return at
-    return None
 
 
 def _visit(w, verts, x, trial, d):
@@ -210,11 +202,14 @@ def _visit(w, verts, x, trial, d):
 
 
 def reduced_objective(inst: SymmetricInstance, y: float, sign4: int = 1) -> float:
-    """Half-objective on the axis: b1*a01(y) + sign4*b4*a04(y)."""
+    """Half-objective on the axis: b1*a01(y) + sign4*b4*a04(y), if finite."""
     if sign4 not in (1, -1):
         raise ValueError("sign4 must be +1 or -1")
     a01, a04 = axial_distances(inst.a, y)
-    return inst.b1 * a01 + sign4 * inst.b4 * a04
+    value = inst.b1 * a01 + sign4 * inst.b4 * a04
+    if not math.isfinite(value):
+        raise FtSolveError("the objective exceeds the float range")
+    return value
 
 
 def minimize_reduced(inst: SymmetricInstance) -> float:

@@ -15,7 +15,7 @@ import math
 
 from .equilibrium import classify
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
-from .geom_core import _MIN_NORMAL, WeightedTetrahedron, _entries, _offsets, _point, _Record
+from .geom_core import WeightedTetrahedron, _entries, _length, _offsets, _point, _Record
 from .numeric import _solve_floating
 
 __all__ = [
@@ -93,12 +93,6 @@ def height_012(a01: float, a02: float, a12: float) -> float:
     return math.ldexp(math.sqrt(radicand) / (2.0 * a12), e)
 
 
-def _clamped_acos(arg: float) -> float:
-    if abs(arg) > 1.0 + CLAMP_SLACK:
-        raise OutOfDomain(f"arccos argument {arg} out of range beyond slack")
-    return math.acos(min(1.0, max(-1.0, arg)))
-
-
 def _foot(a01: float, a02: float, a12: float) -> float:
     """Signed distance from A2 toward A1 of the foot of the height from A0
     onto line A1A2; negative once the foot lies beyond A2."""
@@ -117,7 +111,9 @@ def dihedral_alpha(d: DihedralData, h: float) -> float:
         (a02**2 + a23**2 - a03**2) / (2.0 * a23)
         - _foot(a01, a02, a12) * math.cos(d.alpha_123)
     ) / (h * sin123)
-    return _clamped_acos(arg)
+    if abs(arg) > 1.0 + CLAMP_SLACK:
+        raise OutOfDomain(f"arccos argument {arg} out of range beyond slack")
+    return math.acos(min(1.0, max(-1.0, arg)))
 
 
 def predict_a04p(d: DihedralData, h: float, alpha: float) -> float:
@@ -132,53 +128,61 @@ def predict_a04p(d: DihedralData, h: float, alpha: float) -> float:
     return math.ldexp(math.sqrt(radicand), e)
 
 
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _cos_between(u, du: float, v, dv: float) -> float:
-    """u.v / (du dv), the cosine of the angle between the vectors u and v of
-    lengths du and dv; from the unit vectors where du dv leaves the normal
-    range.  OutOfDomain if a length is 0: the angle is undefined."""
-    if du == 0.0 or dv == 0.0:
-        raise OutOfDomain("the angle is undefined: a direction has zero length")
-    n = du * dv
-    if _MIN_NORMAL <= n < math.inf:
-        return _dot(u, v) / n
-    return _dot([c / du for c in u], [c / dv for c in v])
+def _angle(u, v) -> float:
+    """The angle between the vectors u and v, in Kahan's form 2 atan2(|u' - v'|,
+    |u' + v'|) on the unit vectors u' = u/|u| and v' = v/|v| ("How Futile are
+    Mindless Assessments of Roundoff in Floating-Point Computation?", 2006):
+    unlike acos of a cosine it keeps full precision near 0 and pi, with no clamp
+    and at any scale.  OutOfDomain if |u| or |v| is 0 or overflows."""
+    du, dv = _length(*u), _length(*v)
+    if not (0.0 < du < math.inf and 0.0 < dv < math.inf):
+        raise OutOfDomain("the angle is undefined: a direction has length 0 or beyond the float range")
+    u, v = [c / du for c in u], [c / dv for c in v]
+    return 2.0 * math.atan2(math.dist(u, v), math.dist(u, [-c for c in v]))
 
 
 def vertex_angle(apex, p, q) -> float:
     """Angle at apex between the directions toward p and q."""
-    (u, v), (du, dv) = _offsets((_point(p), _point(q)), _point(apex))
-    return _clamped_acos(_cos_between(u, du, v, dv))
+    return _angle(*_offsets((_point(p), _point(q)), _point(apex))[0])
 
 
 def dihedral_angle(edge_p, edge_q, c1, c2) -> float:
-    """Dihedral along edge pq between the half-planes containing c1 and c2;
-    OutOfDomain if p = q or c1 or c2 lies on the line pq."""
+    """Dihedral along edge pq between the half-planes containing c1 and c2:
+    the angle between the normals n_k = e x o_k to the offsets o_k of c_k from
+    p, with the offset e of q scaled by a power of two (exact) into [0.5, 1).
+    With u = 2^-53 and normal products, n_k is within (2 + 2 sqrt 2) u |o_k|
+    < 5u |o_k| of that of the exact vertices to first order: u from rounding
+    each of o_k and e, and 2 sqrt 2 u from the products and the difference in
+    each component of e x o_k.  So OutOfDomain is raised for |n_k| <= 8u |o_k|,
+    as for p = q; elsewhere the angle is off by at most 5u sum_k |o_k|/|n_k|
+    plus a few ulps.  An offset that overflows is refused (see _angle)."""
     p, q, c1, c2 = map(_point, (edge_p, edge_q, c1, c2))
-    (e, o1, o2), (de, _, _) = _offsets((q, c1, c2), p)
+    return _dihedral(*_offsets((q, c1, c2), p)[0])
+
+
+def _dihedral(e, o1, o2) -> float:
+    """dihedral_angle on the offsets e, o1 and o2 of q, c1 and c2 from p."""
+    de = _length(*e)
     if de == 0.0:
         raise OutOfDomain("the angle is undefined: the edge has zero length")
-    # the parts of the offsets to c1 and c2 normal to the edge
-    e = [ek / de for ek in e]
-    v1 = [ok - _dot(o1, e) * ek for ok, ek in zip(o1, e)]
-    v2 = [ok - _dot(o2, e) * ek for ok, ek in zip(o2, e)]
-    return _clamped_acos(_cos_between(v1, math.hypot(*v1), v2, math.hypot(*v2)))
+    ex, ey, ez = [math.ldexp(c, -math.frexp(de)[1]) for c in e]
+    normals = [(ey * oz - ez * oy, ez * ox - ex * oz, ex * oy - ey * ox) for ox, oy, oz in (o1, o2)]
+    if any(_length(*n) <= 2.0**-50 * _length(*o) < math.inf for n, o in zip(normals, (o1, o2))):
+        raise OutOfDomain("the angle is undefined: c1 or c2 lies on the edge's line")
+    return _angle(*normals)
 
 
 def measure_dihedral_data(a0, a1, a2, a3, a4p) -> DihedralData:
     """Measure all lengths and angles the formulas need from an explicit
-    configuration (normal-vector dihedral, direct distances)."""
+    configuration: the distances, and the angles from the offsets at A2."""
     a0, a1, a2, a3, a4p = map(_point, (a0, a1, a2, a3, a4p))
     _, (a01, a02, a03) = _offsets((a1, a2, a3), a0)
-    _, (a23, a12, a24p) = _offsets((a3, a1, a4p), a2)
+    (o3, o1, o4p), (a23, a12, a24p) = _offsets((a3, a1, a4p), a2)
     return DihedralData(
         a01, a02, a03, a23, a12, a24p,
-        alpha_123=vertex_angle(a2, a1, a3),
-        alpha_124p=vertex_angle(a2, a1, a4p),
-        alpha_g4p=dihedral_angle(a1, a2, a3, a4p),
+        alpha_123=_angle(o1, o3),
+        alpha_124p=_angle(o1, o4p),
+        alpha_g4p=_dihedral(o1, o3, o4p),
     )
 
 

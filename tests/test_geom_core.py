@@ -77,6 +77,11 @@ def test_objective_refuses_weights_not_finite(bad):
     assert math.isfinite(objective(v, [1.0, -2.0, 1.0, 1.0], (0.1, 0.2, 0.3)))
 
 
+def test_objective_refuses_an_empty_point_list():
+    with pytest.raises(ValueError, match="^point list must be non-empty$"):
+        objective([], [], (0.0, 0.0, 0.0))
+
+
 def test_objective_weight_homogeneity():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(4, 3))

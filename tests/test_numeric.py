@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from ftsolve import (
+    FtSolveError,
     NoConvergence,
     SymmetricInstance,
     WeightedTetrahedron,
@@ -120,6 +121,16 @@ def test_reduced_objective_signed_stationary():
 def test_reduced_objective_rejects_bad_sign():
     with pytest.raises(ValueError):
         reduced_objective(REF, 0.0, sign4=0)
+
+
+@pytest.mark.parametrize("sign4", [1, -1])
+def test_reduced_objective_out_of_float_range_is_a_solver_error(sign4):
+    # it returned inf where solve_symmetric raises
+    inst = SymmetricInstance(4.034765434510795e118, 5.477970488350911e207, 6.52484807605555)
+    with pytest.raises(FtSolveError, match="^the objective exceeds the float range"):
+        solve_symmetric(inst)
+    with pytest.raises(FtSolveError, match="^the objective exceeds the float range$"):
+        reduced_objective(inst, ft_axial(inst), sign4)
 
 
 def test_minimize_reduced_reference():

@@ -22,6 +22,7 @@ from ftsolve import (
     verify_invariance,
     vertex_angle,
 )
+from ftsolve.plasticity import CLAMP_SLACK
 
 REF = SymmetricInstance(a=1.0, b1=2.5, b4=1.0)
 
@@ -333,6 +334,9 @@ def test_angle_helpers_at_any_scale(scale):
     assert dihedral_angle(o, x, y, (0.0, scale, scale)) == pytest.approx(math.pi / 4, rel=1e-15)
 
 
+Q = (0.1, 0.2, 0.3)
+
+
 @pytest.mark.parametrize(
     "helper, args",
     [
@@ -341,10 +345,115 @@ def test_angle_helpers_at_any_scale(scale):
         (dihedral_angle, ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 0.0, 1.0))),
         (dihedral_angle, ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (-3.0, 0.0, 0.0))),
         (dihedral_angle, ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))),
+        *[
+            (dihedral_angle, ((0.0, 0.0, 0.0), Q, tuple(k * c for c in Q), (0.0, 0.0, 1.0)))
+            for k in (3, 7, 11, -2)
+        ],
     ],
-    ids=["apex_is_p", "apex_is_q", "c1_on_the_edge_line", "c2_on_the_edge_line", "edge_of_length_0"],
+    ids=["apex_is_p", "apex_is_q", "c1_on_the_edge_line", "c2_on_the_edge_line", "edge_of_length_0",
+         "c1_3q", "c1_7q", "c1_11q", "c1_-2q"],
 )
 def test_angle_helpers_refuse_undefined_angles(helper, args):
-    # each raised a bare ZeroDivisionError
+    # the first five raised a bare ZeroDivisionError; for c1 = kq, within
+    # rounding of the edge's line, the projection onto the edge's normal
+    # plane returned 1.44, 0.93 and 1.70 rad at 7q, 11q and -2q
     with pytest.raises(OutOfDomain, match="^the angle is undefined: "):
         helper(*args)
+
+
+@pytest.mark.parametrize(
+    "helper, args",
+    [
+        (vertex_angle, ((1e308, 0.0, 0.0), (-1e308, 0.0, 0.0), (1e308, 1.0, 0.0))),
+        (dihedral_angle, ((1e308, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+        (dihedral_angle, ((0.0, 0.0, -1e308), (1.0, 0.0, -1e308), (0.0, 1.0, -1e308), (0.0, 0.0, 1e308))),
+    ],
+    ids=["vertex_offset", "edge_offset", "c2_offset"],
+)
+def test_angle_helpers_refuse_offsets_beyond_the_float_range(helper, args):
+    # each returned pi for an angle of pi/2: an offset overflowed to inf, and
+    # the clamp took the nan cosine to -1
+    with pytest.raises(OutOfDomain, match="beyond the float range$"):
+        helper(*args)
+
+
+def mp_angle(u, v):
+    """The angle between the vectors u and v at mpmath's working precision."""
+    cross = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+    return mp.atan2(mp.sqrt(sum(c * c for c in cross)), sum(a * b for a, b in zip(u, v)))
+
+
+def mp_offset(a, b):
+    return [mpf(x) - mpf(y) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("e", [1e-6, 1e-8, 1e-12])
+@pytest.mark.parametrize("x", [1.0, -1.0], ids=["near_0", "near_pi"])
+def test_vertex_angle_near_0_and_pi_within_4_ulps(e, x):
+    # acos of the cosine was off by 4.4e-5 relative at 1e-6 and read 0.0 at 1e-8
+    o, p, q = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (x, e, 0.0)
+    with mp.workdps(50):
+        exact = mp_angle(mp_offset(p, o), mp_offset(q, o))
+        assert abs(vertex_angle(o, p, q) - exact) <= 4 * math.ulp(float(exact))
+
+
+def test_dihedral_angle_next_to_the_edge_line_within_its_bound():
+    # c1 is 1e-9 |q| off the line: the answer must be the 50-digit dihedral of
+    # the same float vertices within dihedral_angle's bound, 5u sum |o_k|/|n_k|
+    # for the normals n_k = e x o_k at the edge e scaled into [0.5, 1), plus
+    # 4 ulps
+    p, c2 = (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+    m = (0.3 / math.sqrt(0.1), 0.0, -0.1 / math.sqrt(0.1))  # a unit normal to q
+    c1 = tuple(3.0 * a + 1e-9 * math.hypot(*Q) * b for a, b in zip(Q, m))
+    with mp.workdps(50):
+        e = [c / 2 ** math.frexp(math.hypot(*Q))[1] for c in mp_offset(Q, p)]
+        bound = 0
+        normals = []
+        for c in (c1, c2):
+            o = mp_offset(c, p)
+            n = [e[1] * o[2] - e[2] * o[1], e[2] * o[0] - e[0] * o[2], e[0] * o[1] - e[1] * o[0]]
+            bound += 5 * 2.0**-53 * mp.sqrt(sum(x * x for x in o)) / mp.sqrt(sum(x * x for x in n))
+            normals.append(n)
+        exact = mp_angle(*normals)
+        assert abs(dihedral_angle(p, Q, c1, c2) - exact) <= bound + 4 * math.ulp(float(exact))
+
+
+def ref_dihedral_data(**changes):
+    """The coplanar data of test_dihedral_alpha_coplanar_is_zero, where the
+    arccos argument at h = 1/(2 sqrt 3) is 1, with some fields changed."""
+    r = 1.0 / math.sqrt(3.0)
+    fields = dict(a01=r, a02=r, a03=r, a23=1.0, a12=1.0, a24p=0.0, alpha_123=math.pi / 3.0,
+                  alpha_124p=0.0, alpha_g4p=0.0)
+    return DihedralData(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0])
+def test_dihedral_alpha_refuses_a_height_not_positive(h):
+    with pytest.raises(OutOfDomain, match="^height must be positive$"):
+        dihedral_alpha(ref_dihedral_data(), h)
+
+
+@pytest.mark.parametrize(
+    "alpha_123, message",
+    [(0.0, "^alpha_123 must not be 0 or pi$"), (math.pi, "^arccos argument .* beyond slack$")],
+    ids=["0", "pi"],
+)
+def test_dihedral_alpha_refuses_alpha_123_at_0_and_pi(alpha_123, message):
+    # sin(pi) is 1.2e-16, not 0: at pi the argument, about 1/sin(pi), is
+    # refused beyond the slack instead
+    with pytest.raises(OutOfDomain, match=message):
+        dihedral_alpha(ref_dihedral_data(alpha_123=alpha_123), 1.0 / (2.0 * math.sqrt(3.0)))
+
+
+def test_dihedral_alpha_clamps_only_within_the_slack():
+    h = 1.0 / (2.0 * math.sqrt(3.0))
+    assert dihedral_alpha(ref_dihedral_data(), h / (1.0 + 0.5 * CLAMP_SLACK)) == 0.0
+    with pytest.raises(OutOfDomain, match="^arccos argument .* beyond slack$"):
+        dihedral_alpha(ref_dihedral_data(), h / (1.0 + 2.0 * CLAMP_SLACK))
+
+
+def test_predict_a04p_refuses_a_negative_radicand():
+    # a02 = a24p = 1 and a projection of 5: 1 + 1 - 2 * 5 < 0
+    d = ref_dihedral_data(a01=1.0, a02=1.0, a24p=1.0, alpha_124p=math.pi / 2.0)
+    with pytest.raises(OutOfDomain, match="^negative radicand; inconsistent inputs$"):
+        predict_a04p(d, 5.0, 0.0)
