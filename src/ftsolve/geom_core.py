@@ -2,10 +2,12 @@
 weighted distance-sum objective.
 
 Points, vertices and weights are plain tuples of floats; inputs may be any
-sequences of numbers.  The canonical embedding places the symmetry axis of
-the two-pair-weights problem on +z, with the midpoint of the common
-perpendicular at the origin and the heavier pair's edge (A1A2) on the +z
-side.
+sequences of numbers (a list or tuple of the right length is unpacked in
+one step).  A WeightedTetrahedron keeps its six vertex pairs once, in one
+flat tuple that classify and weiszfeld read.  The canonical embedding
+places the symmetry axis of the two-pair-weights problem on +z, with the
+midpoint of the common perpendicular at the origin and the heavier pair's
+edge (A1A2) on the +z side.
 """
 
 from __future__ import annotations
@@ -90,15 +92,33 @@ def _point(p) -> tuple[float, float, float]:
 def _vertices(values) -> tuple:
     """_entries(values, 4, "vertices", _point), in one unpacking from a list or
     tuple of lists or tuples; other inputs and refusals take the long way."""
-    if type(values) in (list, tuple) and set(map(type, values)) <= {list, tuple}:
+    if type(values) in (list, tuple):
         try:
-            (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = values
-            c = tuple(map(float, (x0, y0, z0, x1, y1, z1, x2, y2, z2, x3, y3, z3)))
-            if math.isfinite(sum(c)):  # a nan or an infinity makes the sum one
-                return c[0:3], c[3:6], c[6:9], c[9:12]
+            p0, p1, p2, p3 = values
+            if {type(p0), type(p1), type(p2), type(p3)} <= {list, tuple}:
+                (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = p0, p1, p2, p3
+                f = float
+                c = f(x0), f(y0), f(z0), f(x1), f(y1), f(z1), f(x2), f(y2), f(z2), f(x3), f(y3), f(z3)
+                if math.isfinite(sum(c)):  # a nan or an infinity makes the sum one
+                    return c[0:3], c[3:6], c[6:9], c[9:12]
         except (TypeError, ValueError):
             pass
     return _entries(values, 4, "vertices", _point)
+
+
+def _positive(values, what: str, name: str) -> tuple:
+    """_entries(values, 4, what), in one unpacking from a list or tuple (other
+    inputs and refusals take the long way); ValueError naming name unless
+    each entry is positive and finite."""
+    try:
+        w0, w1, w2, w3 = values if type(values) in (list, tuple) else ()
+        out = w0, w1, w2, w3 = float(w0), float(w1), float(w2), float(w3)
+    except (TypeError, ValueError):
+        out = w0, w1, w2, w3 = _entries(values, 4, what)
+    inf = math.inf
+    if not (0.0 < w0 < inf and 0.0 < w1 < inf and 0.0 < w2 < inf and 0.0 < w3 < inf):
+        raise ValueError(f"{name} must be positive and finite")
+    return out
 
 
 def _unscaled(values, e: int, what: str) -> tuple:
@@ -153,23 +173,23 @@ def _offsets(points, x):
 
 class WeightedTetrahedron(_Record):
     """Four non-coplanar vertices (4 points) with four finite positive
-    weights."""
+    weights.  ``_pairs`` holds the offsets A_i - A_j of the pairs j < i (10,
+    20, 21, 30, 31, 32) and then their lengths, as one flat tuple of floats;
+    ``_units`` the weights scaled by 2^-e into [0.5, 1), and e."""
 
-    __slots__ = ("vertices", "weights", "_pulls", "_units", "_max_edge")
+    __slots__ = ("vertices", "weights", "_pairs", "_units", "_max_edge")
 
     def __init__(self, vertices, weights):
         v = _vertices(vertices)
-        w = _entries(weights, 4, "weights")
-        if not (all(map(math.isfinite, w)) and min(w) > 0.0):
-            raise ValueError("weights must be positive and finite")
-        # each vertex pair once: the offsets A_i - A_j for j < i, and their lengths
+        w = _positive(weights, "weights", "weights")
+        # each vertex pair once (see _pairs)
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = v
-        o10 = x10, y10, z10 = x1 - x0, y1 - y0, z1 - z0
-        o20 = x20, y20, z20 = x2 - x0, y2 - y0, z2 - z0
-        o21 = x21, y21, z21 = x2 - x1, y2 - y1, z2 - z1
-        o30 = x30, y30, z30 = x3 - x0, y3 - y0, z3 - z0
-        o31 = x31, y31, z31 = x3 - x1, y3 - y1, z3 - z1
-        o32 = x32, y32, z32 = x3 - x2, y3 - y2, z3 - z2
+        x10, y10, z10 = x1 - x0, y1 - y0, z1 - z0
+        x20, y20, z20 = x2 - x0, y2 - y0, z2 - z0
+        x21, y21, z21 = x2 - x1, y2 - y1, z2 - z1
+        x30, y30, z30 = x3 - x0, y3 - y0, z3 - z0
+        x31, y31, z31 = x3 - x1, y3 - y1, z3 - z1
+        x32, y32, z32 = x3 - x2, y3 - y2, z3 - z2
         sqrt = math.sqrt
         d10 = sqrt(x10 * x10 + y10 * y10 + z10 * z10)
         d20 = sqrt(x20 * x20 + y20 * y20 + z20 * z20)
@@ -177,26 +197,22 @@ class WeightedTetrahedron(_Record):
         d30 = sqrt(x30 * x30 + y30 * y30 + z30 * z30)
         d31 = sqrt(x31 * x31 + y31 * y31 + z31 * z31)
         d32 = sqrt(x32 * x32 + y32 * y32 + z32 * z32)
+        pairs = (
+            x10, y10, z10, x20, y20, z20, x21, y21, z21, x30, y30, z30, x31, y31, z31, x32, y32, z32,
+            d10, d20, d21, d30, d31, d32,
+        )
         # the weights scaled by the power of two (exact) that brings the largest
         # into [0.5, 1), so the pulls and the Newton step's determinant (cubic
         # in w) stay in range; margins, objectives and residuals are scaled back
-        we = math.frexp(max(w))[1]
+        w0, w1, w2, w3 = w
+        we = math.frexp(max(w0, w1, w2, w3))[1]
         ldexp = math.ldexp
-        w0, w1, w2, w3 = units = ldexp(w[0], -we), ldexp(w[1], -we), ldexp(w[2], -we), ldexp(w[3], -we)
-        # the pull on A_i, sum_j w_j (A_i - A_j)/|A_i - A_j|, as equilibrium's
-        # _pull3 takes it: (coefficients, offsets, lengths) in vertex order,
-        # with A_j - A_i and the weight negated (exact) for j > i
-        pulls = (
-            ((-w1, -w2, -w3), (o10, o20, o30), (d10, d20, d30)),
-            ((w0, -w2, -w3), (o10, o21, o31), (d10, d21, d31)),
-            ((w0, w1, -w3), (o20, o21, o32), (d20, d21, d32)),
-            ((w0, w1, w2), (o30, o31, o32), (d30, d31, d32)),
-        )
+        units = ldexp(w0, -we), ldexp(w1, -we), ldexp(w2, -we), ldexp(w3, -we)
         edge = max(d10, d20, d21, d30, d31, d32)
-        set_vertices, set_weights, set_pulls, set_units, set_max_edge = self._setters
+        set_vertices, set_weights, set_pairs, set_units, set_max_edge = self._setters
         set_vertices(self, v)
         set_weights(self, w)
-        set_pulls(self, pulls)
+        set_pairs(self, pairs)
         set_units(self, (units, we))
         set_max_edge(self, edge)
         # the squares of the lengths stay normal; only coincident vertices measure 0

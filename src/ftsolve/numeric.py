@@ -17,7 +17,6 @@ from .geom_core import (
     SymmetricInstance,
     WeightedTetrahedron,
     _axial_slope,
-    _offsets,
     _unscaled,
     axial_distances,
 )
@@ -60,10 +59,16 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     if label.floating:
         return _solve_floating(t)
     i = label.vertex
-    # the coefficients of A_i's pull are the other weights, some negated
-    coefficients, _, d = t._pulls[i]
-    objective = math.fsum([abs(cj) * dj for cj, dj in zip(coefficients, d)])
-    (objective,) = _unscaled((objective,), t._units[1], "objective")
+    # f(A_i) from the lengths of the vertex pairs stored at construction
+    (w0, w1, w2, w3), we = t._units
+    d10, d20, d21, d30, d31, d32 = t._pairs[18:]
+    terms = (
+        (w1 * d10, w2 * d20, w3 * d30),
+        (w0 * d10, w2 * d21, w3 * d31),
+        (w0 * d20, w1 * d21, w3 * d32),
+        (w0 * d30, w1 * d31, w2 * d32),
+    )[i]
+    (objective,) = _unscaled((math.fsum(terms),), we, "objective")
     return FtSolution(t.vertices[i], objective, residual=math.nan, vertex=i)
 
 
@@ -71,13 +76,18 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
     """weiszfeld on a tetrahedron already classified as floating: each step goes
     to the first x + f s, f in _TRIALS, on no vertex that lowers the objective,
     else to the Weiszfeld average.  It runs on the vertices scaled by 2^-e, exact
-    in the normal range the edge bound keeps offsets and distances in, so each
-    (w o)/d and fsum(w d) 2^e is the caller's-scale float, with no second pass."""
+    in the normal range the edge bound keeps offsets and distances in, so the
+    residual kernel's (w o)/d and fsum(w d) 2^e are the caller's-scale floats."""
     edge, e = math.frexp(t.max_edge())
     stop = STEP_TOL * edge
     scale = 2.0**-e  # the largest edge is in [2^-500, 2^500]
-    verts = [(ax * scale, ay * scale, az * scale) for ax, ay, az in t.vertices]
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = verts
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = t.vertices
+    verts = (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = (
+        (x0 * scale, y0 * scale, z0 * scale),
+        (x1 * scale, y1 * scale, z1 * scale),
+        (x2 * scale, y2 * scale, z2 * scale),
+        (x3 * scale, y3 * scale, z3 * scale),
+    )
     w, we = t._units
     w0, w1, w2, w3 = w
     total_w = math.fsum(w)
@@ -93,39 +103,44 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
         x, d, _, g, s, pull = at
         if steps == MAX_ITER:
             break
-        if s is not None and math.hypot(*s) < stop:
-            # prev is None after this closing step, which is s
-            prev, x = None, [x[0] + s[0], x[1] + s[1], x[2] + s[2]]
-            steps += 1
-            break
+        px, py, pz = x
         at = None
-        for frac in _TRIALS if s is not None else ():
-            at = _visit(w, verts, x, [x[0] + frac * s[0], x[1] + frac * s[1], x[2] + frac * s[2]], d)
-            if at is not None and at[2] < 0.0:
+        if s is not None:
+            sx, sy, sz = s
+            if math.hypot(sx, sy, sz) < stop:
+                # prev is None after this closing step, which is s
+                prev, x = None, [px + sx, py + sy, pz + sz]
+                steps += 1
                 break
-            at = None
+            for frac in _TRIALS:
+                at = _visit(w, verts, x, [px + frac * sx, py + frac * sy, pz + frac * sz], d)
+                if at is not None and at[2] < 0.0:
+                    break
+                at = None
         if at is None:
             # the Weiszfeld average x - g / sum(w_i / d_i); one on a vertex, or
             # at x itself, would only repeat this iteration
-            trial = [x[0] - g[0] / pull, x[1] - g[1] / pull, x[2] - g[2] / pull]
+            gx, gy, gz = g
+            trial = [px - gx / pull, py - gy / pull, pz - gz / pull]
             if trial == x or (at := _visit(w, verts, x, trial, d)) is None:
                 break
         prev = x
         steps += 1
-    v, d = _offsets(verts, x)
-    residual = _residual(w, v, d, edge)
+    residual, (d0, d1, d2, d3) = _residual(w, verts, x, edge)
     if residual > 1e-6 * total_w:
         last = math.hypot(*s) if prev is None else math.dist(x, prev)
         raise NoConvergence(
             f"residual {_unscaled((residual,), we, 'residual')[0]:.3e} above threshold after "
             f"{steps} step(s), the last {last / scale:.3e} long"
         )
-    d0, d1, d2, d3 = d
-    # at least w_max d_max >= 1/8 here, so 2^e leaves it normal and exact
-    objective = math.ldexp(math.fsum((w0 * d0, w1 * d1, w2 * d2, w3 * d3)), e)
-    # a residual under the threshold, at most 4e-6 here, stays in range
-    objective, residual = _unscaled((objective, residual), we, "objective")
-    return FtSolution(point=(x[0] / scale, x[1] / scale, x[2] / scale), objective=objective, residual=residual)
+    # f is at least w_max d_max >= 1/8 here, so 2^e alone would leave it normal
+    # and exact: 2^(e + we) rounds it once, as 2^e and then 2^we do.  A residual
+    # under the threshold, at most 4e-6 here, stays in range
+    try:
+        objective = math.ldexp(math.fsum((w0 * d0, w1 * d1, w2 * d2, w3 * d3)), e + we)
+    except OverflowError:
+        raise FtSolveError("the objective exceeds the float range") from None
+    return FtSolution((x[0] / scale, x[1] / scale, x[2] / scale), objective, math.ldexp(residual, we))
 
 
 def _visit(w, verts, x, trial, d):

@@ -15,7 +15,7 @@ import math
 
 from .equilibrium import classify
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
-from .geom_core import WeightedTetrahedron, _entries, _length, _offsets, _point, _Record
+from .geom_core import WeightedTetrahedron, _length, _offsets, _point, _positive, _Record
 from .numeric import _solve_floating
 
 __all__ = [
@@ -42,9 +42,7 @@ class PlasticityInstance(_Record):
 
     def __init__(self, base: WeightedTetrahedron, a0, lambdas):
         a0 = _point(a0)
-        lam = _entries(lambdas, 4, "lambdas")
-        if not all(0 < k < math.inf for k in lam):
-            raise ValueError("stretch factors must be positive and finite")
+        lam = _positive(lambdas, "lambdas", "stretch factors")
         set_base, set_a0, set_lambdas = self._setters
         set_base(self, base)
         set_a0(self, a0)

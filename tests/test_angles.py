@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ftsolve import SymmetricInstance, angles_at, embed_regular, ft_axial, vertex_angle
+from ftsolve import OutOfDomain, SymmetricInstance, angles_at, embed_regular, ft_axial, vertex_angle
 
 Y_REF = 0.1983575549931425
 TETRAHEDRAL_ANGLE = math.acos(-1.0 / 3.0)
@@ -43,6 +43,52 @@ def test_limit_at_edge_midpoint():
     c = math.sqrt(2.0) / 4.0
     aset = angles_at(1.0, c)
     assert aset.alpha_102 == pytest.approx(math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [1.0, 3.7, 1e-300, 1e100])
+@pytest.mark.parametrize("m", [1.0 + 2.0**-20, 1.5, 2.0, 10.0, 1e6, 1e150, 1e200])
+@pytest.mark.parametrize("side", [1, -1])
+def test_angles_beyond_the_edge_midpoints_are_those_of_the_vectors(a, m, side):
+    # beyond an edge midpoint (|y| > c) the half-angle atan2(a/2, c - y) took
+    # the far quadrant: at a = 1 and y = 2c alpha_102 read 4.3726 (the reflex
+    # angle), where the angle between the vectors is 1.9106.  From about
+    # 1e154 edges y^2 - c^2 overflowed, and the cross angle read 0
+    c = a * math.sqrt(2.0) / 4.0
+    y = side * m * c
+    v = embed_regular(a)
+    x = (0.0, 0.0, y)
+    aset = angles_at(a, y)
+    for got, (i, j) in ((aset.alpha_102, (0, 1)), (aset.alpha_304, (2, 3)), (aset.alpha_cross, (0, 2))):
+        assert 0.0 < got < math.pi
+        assert got == pytest.approx(vertex_angle(x, v[i], v[j]), rel=4e-16)
+
+
+def test_angles_within_the_edge_midpoints_are_unchanged():
+    # |c - y| is c - y there, and the cross angle's scale is 1: the same
+    # floats as the plain forms (an edge in [0.5, 1) is not rescaled)
+    a = 0.75
+    c, half = a * (math.sqrt(2.0) / 4.0), a / 2.0
+    for y in np.linspace(-c, c, 401):
+        y = float(y)
+        aset = angles_at(a, y)
+        assert aset.alpha_102 == 2.0 * math.atan2(half, c - y)
+        assert aset.alpha_304 == 2.0 * math.atan2(half, c + y)
+        assert aset.alpha_cross == math.atan2(half * math.sqrt(2.0) * math.hypot(half, y), (y - c) * (y + c))
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_angles_at_refuses_a_coordinate_that_is_not_finite(y):
+    # nan gave nan angles and an infinity 2 pi, silently
+    with pytest.raises(ValueError, match="axial coordinate must be finite"):
+        angles_at(1.0, y)
+
+
+@pytest.mark.parametrize("y", [1e10, -1e10, 1.7e308])
+def test_angles_at_refuses_a_point_beyond_the_scaled_float_range(y):
+    # scaled with an edge of 1e-300, y overflows: a bare OverflowError came
+    # from math.ldexp.  Every angle there is below the normal float range
+    with pytest.raises(OutOfDomain, match="2\\^1024 edge lengths"):
+        angles_at(1e-300, y)
 
 
 def test_vector_oracle_agreement():

@@ -8,6 +8,7 @@ from ftsolve import (
     FtSolveError,
     NonPositiveEdge,
     OutOfDomain,
+    PlasticityInstance,
     SymmetricInstance,
     WeightedTetrahedron,
     angles_at,
@@ -15,7 +16,7 @@ from ftsolve import (
     embed_regular,
     objective,
 )
-from ftsolve.geom_core import _entries, _point, _vertices
+from ftsolve.geom_core import _entries, _point, _positive, _vertices
 
 # axial coordinate of the minimizer for a=1, b1=2.5, b4=1, frozen from the
 # closed form and confirmed by bisection of the reduced objective's
@@ -217,6 +218,7 @@ VERTEX_INPUTS = {
     "five": lambda: UNIT + [[2.0, 2.0, 2.0]],
     "array": lambda: np.eye(4, 3),
     "generator": lambda: (p for p in UNIT),
+    "generator-row": lambda: [(c for c in UNIT[0]), *UNIT[1:]],
     "short-row": lambda: [[0.0, 0.0], *UNIT[1:]],
     "none": lambda: [[0.0, None, 0.0], *UNIT[1:]],
     "non-numeric-string": lambda: [[0.0, "x", 0.0], *UNIT[1:]],
@@ -237,6 +239,56 @@ def test_vertices_unpacked_at_once_as_in_general(make):
     fast = outcome(_vertices)
     assert fast == outcome(lambda v: _entries(v, 4, "vertices", _point))
     assert isinstance(fast, str) or all(type(c) is float for p in fast for c in p)
+
+
+FOUR_INPUTS = {
+    "ints": lambda: [1, 2, 3, 4],
+    "bools": lambda: [True, 2.0, True, 4.0],
+    "numeric-strings": lambda: ["1.5", 2.0, "3", 4.0],
+    "float64": lambda: [np.float64(1.5), 2.0, np.float64(3.0), 4.0],
+    "tuple": lambda: (1.5, 2.0, 3.0, 4.0),
+    "nested": lambda: [1.0, 2.0, [3.0], 4.0],
+    "none": lambda: [1.0, None, 3.0, 4.0],
+    "three": lambda: [1.0, 2.0, 3.0],
+    "five": lambda: [1.0, 2.0, 3.0, 4.0, 5.0],
+    "nan": lambda: [1.0, math.nan, 3.0, 4.0],
+    "inf": lambda: [1.0, 2.0, math.inf, 4.0],
+    "zero": lambda: [0.0, 2.0, 3.0, 4.0],
+    "negative": lambda: [1.0, 2.0, 3.0, -4.0],
+    "non-numeric-string": lambda: [1.0, "x", 3.0, 4.0],
+    "generator": lambda: (x for x in [1.0, 2.0, 3.0, 4.0]),
+    "array": lambda: np.array([1.0, 2.0, 3.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("what, name", [("weights", "weights"), ("lambdas", "stretch factors")])
+@pytest.mark.parametrize("make", FOUR_INPUTS.values(), ids=FOUR_INPUTS.keys())
+def test_weights_and_lambdas_unpacked_at_once_as_in_general(make, what, name):
+    # a list or tuple of four is unpacked in one step; that must give what
+    # the entry-by-entry coercion and the positivity check give, or their
+    # refusal (a nested entry is a wrong count there, not a bare TypeError),
+    # and the constructors must give the same
+    def outcome(coerce):
+        try:
+            return coerce(make())
+        except ValueError as e:
+            return str(e)
+
+    def by_entries(values):
+        out = _entries(values, 4, what)
+        if not all(0.0 < x < math.inf for x in out):
+            raise ValueError(f"{name} must be positive and finite")
+        return out
+
+    fast = outcome(lambda v: _positive(v, what, name))
+    assert fast == outcome(by_entries)
+    assert isinstance(fast, str) or all(type(x) is float for x in fast)
+    if what == "weights":
+        built = outcome(lambda v: WeightedTetrahedron(UNIT, v).weights)
+    else:
+        base = WeightedTetrahedron(UNIT, [1.0] * 4)
+        built = outcome(lambda v: PlasticityInstance(base, (0.25, 0.25, 0.25), v).lambdas)
+    assert built == fast
 
 
 @pytest.mark.parametrize("a", [1e-110, 1e110])
@@ -265,10 +317,10 @@ def test_weighted_tetrahedron_rejects_weights_not_finite_positive(bad):
         WeightedTetrahedron(embed_regular(1.0), [bad, 1.0, 1.0, 1.0])
 
 
-@pytest.mark.parametrize("field", ["vertices", "weights", "_pulls"])
+@pytest.mark.parametrize("field", ["vertices", "weights", "_pairs"])
 def test_weighted_tetrahedron_is_frozen(field):
     # an assignment once went unvalidated, and max_edge kept the old value;
-    # classify and weiszfeld read the pull terms stored at construction
+    # classify and weiszfeld read the vertex pairs stored at construction
     t = WeightedTetrahedron(embed_regular(1.0), [1.0] * 4)
     before = getattr(t, field)
     with pytest.raises(AttributeError):
@@ -277,27 +329,26 @@ def test_weighted_tetrahedron_is_frozen(field):
 
 
 def test_weighted_tetrahedron_stores_each_vertex_pair_once():
-    # vertex i's pull terms are (coefficients, offsets, lengths) over j != i
-    # in vertex order: A_i - A_j with w_j for j < i, and for j > i the same
-    # offset tuple as vertex j's term for i, with -w_j; all tuples, so the
-    # frozen record holds nothing mutable.  The weights are scaled by the
-    # power of two that brings the largest, 4, into [0.5, 1): 2^-3
+    # one flat tuple: the offsets A_i - A_j of the six pairs j < i, in the
+    # order 10, 20, 21, 30, 31, 32, then their lengths in the same order;
+    # all floats in a tuple, so the frozen record holds nothing mutable.
+    # The weights are scaled by the power of two that brings the largest,
+    # 4, into [0.5, 1): 2^-3
     v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
     t = WeightedTetrahedron(v, (1.0, 2.0, 3.0, 4.0))
     w = (0.125, 0.25, 0.375, 0.5)
-    assert t._units == (w, 3) and t.weights == (1.0, 2.0, 3.0, 4.0)
-    assert type(t._pulls) is tuple and len(t._pulls) == 4
-    for i, terms in enumerate(t._pulls):
-        assert all(type(part) is tuple for part in terms)
-        coefficients, offsets, lengths = terms
-        others = [j for j in range(4) if j != i]
-        assert coefficients == tuple(w[j] if j < i else -w[j] for j in others)
-        for j, o, d in zip(others, offsets, lengths):
-            assert type(o) is tuple
-            assert o == (tuple(v[i] - v[j]) if j < i else tuple(v[j] - v[i]))
-            assert d == math.sqrt(sum(c * c for c in o))
-            if j > i:  # i < j, so vertex j's term for i is its i-th
-                assert o is t._pulls[j][1][i] and d == t._pulls[j][2][i]
+    assert t._units == (w, 3) and type(t._units[0]) is tuple and t.weights == (1.0, 2.0, 3.0, 4.0)
+    pairs = [(i, j) for i in range(4) for j in range(i)]
+    assert pairs == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+    assert type(t._pairs) is tuple and len(t._pairs) == 6 * 3 + 6
+    assert all(type(c) is float for c in t._pairs)
+    offsets = [t._pairs[3 * k : 3 * k + 3] for k in range(6)]
+    lengths = t._pairs[18:]
+    for (i, j), o, d in zip(pairs, offsets, lengths, strict=True):
+        assert o == tuple(v[i] - v[j])
+        assert d == math.sqrt(sum(c * c for c in o))
+    # each pair once: no two entries describe the same pair of vertices
+    assert len({frozenset(p) for p in pairs}) == 6
     assert t.max_edge() == math.sqrt(13.0)
 
 

@@ -283,6 +283,27 @@ def test_solution_objective_and_residual_are_those_of_the_point(k):
             assert sol.point == t.vertices[sol.vertex] and math.isnan(sol.residual)
 
 
+@pytest.mark.parametrize("k", [0, -400, 400])
+@pytest.mark.parametrize("heavy", range(4))
+def test_absorbed_objective_at_each_vertex_is_that_of_the_point(heavy, k):
+    # the absorbed objective reads the pair lengths stored once at
+    # construction, written out per vertex; with each vertex made heavy in
+    # turn, vertices and weights scaled by 2^k, it must equal objective()
+    # at the vertex bit for bit
+    rng = np.random.default_rng(59 + heavy)
+    base = embed_regular(1.0)
+    for _ in range(10):
+        w = np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=4))
+        w[heavy] = rng.uniform(1.0, 3.0) * (w.sum() - w[heavy])  # beyond any pull of the others
+        t = WeightedTetrahedron(
+            [[math.ldexp(c, k) for c in p] for p in base + rng.uniform(-0.3, 0.3, size=(4, 3))],
+            [math.ldexp(wi, k) for wi in w],
+        )
+        sol = weiszfeld(t)
+        assert sol.vertex == heavy and sol.point == t.vertices[heavy]
+        assert sol.objective == objective(t.vertices, t.weights, sol.point)
+
+
 def test_newton_step_onto_a_vertex_falls_back(monkeypatch):
     # A1 is the origin.  The weights (1.6, 1, 1, 1) float (the margin at A1 is
     # sqrt(3) - 1.6), and f(A1) = 3 is below f = 3.12 at the weighted mean, so

@@ -70,7 +70,7 @@ def test_repr_names_the_public_fields():
     assert repr(AngleSet(0.5, 1.5, 2.0)) == "AngleSet(alpha_102=0.5, alpha_304=1.5, alpha_cross=2.0)"
     tet = WeightedTetrahedron(embed_regular(2.0), [1.0] * 4)
     assert repr(tet).startswith("WeightedTetrahedron(vertices=((-1.0, 0.0, ")
-    assert "_pulls" not in repr(tet) and "weights=(1.0, 1.0, 1.0, 1.0))" in repr(tet)
+    assert "_pairs" not in repr(tet) and "weights=(1.0, 1.0, 1.0, 1.0))" in repr(tet)
     assert repr(CaseLabel(None, (1.0, 2.0, 3.0, 4.0))) == "CaseLabel(vertex=None, margins=(1.0, 2.0, 3.0, 4.0))"
 
 
