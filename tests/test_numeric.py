@@ -239,6 +239,34 @@ def test_weiszfeld_precision_on_jittered_tetrahedra():
         solved += 1
 
 
+def test_newton_passes_per_solve_within_budget(monkeypatch):
+    # the draws of test_weiszfeld_precision_on_jittered_tetrahedra: from the
+    # weighted mean with a confirming pass after the last step, the solver
+    # made 6.28 passes per solve on them; from two over-relaxed Weiszfeld
+    # averages and with the certified stop, 4.69
+    visit = numeric._visit
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return visit(*args)
+
+    monkeypatch.setattr(numeric, "_visit", counted)
+    rng = np.random.default_rng(2024)
+    base = embed_regular(1.0)
+    solved = 0
+    while solved < 200:
+        t = WeightedTetrahedron(
+            base + rng.uniform(-0.3, 0.3, size=(4, 3)),
+            np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=4)),
+        )
+        if not classify(t).floating:
+            continue
+        weiszfeld(t)
+        solved += 1
+    assert len(calls) / solved <= 4.8
+
+
 @pytest.mark.parametrize("k", [-490, -60, 90, 490])
 def test_weiszfeld_commutes_with_power_of_two_scaling(k):
     # the solve runs on vertices scaled by a power of two into unit range,
@@ -322,8 +350,8 @@ def test_newton_step_onto_a_vertex_falls_back(monkeypatch):
         at = visit(w, verts, x, trial, d)
         calls.append((list(trial), at))
         if len(calls) == 1:
-            trial, td, change, g, s, pull = at
-            at = trial, td, change, g, tuple(-c for c in trial), pull
+            trial, td, change, g, s, pull, mu = at
+            at = trial, td, change, g, tuple(-c for c in trial), pull, mu
         return at
 
     monkeypatch.setattr(numeric, "_visit", onto_first_vertex)
@@ -332,6 +360,49 @@ def test_newton_step_onto_a_vertex_falls_back(monkeypatch):
     assert calls[0][1] is not None and calls[1] == ([0.0, 0.0, 0.0], None)
     assert sol.case == "floating" and all(0.0 not in at[1] for _, at in calls if at)
     assert equilibrium_residual(t, sol.point) <= 1e-12 * np.sum(t.weights)
+
+
+@pytest.mark.parametrize("average", ["at_x", "on_a_vertex"])
+def test_weiszfeld_average_that_would_repeat_the_iteration_ends_the_loop(monkeypatch, average):
+    # The fallback's average at x itself, or on a vertex, would only repeat
+    # the iteration.  No input is known to reach either, so the last pass of
+    # a solve (its step within rounding of the minimizer) is patched to have
+    # no Newton step and an average at x (g = 0), or on A1, the origin
+    # (g = x, pull = 1, and x - x is exactly 0).  The loop must end at that
+    # pass's point, after no pass or the one refused on A1.
+    t = WeightedTetrahedron(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [1.1, 0.7, 2.0, 1.3],
+    )
+    visit = numeric._visit
+    calls = []
+
+    def recorded(*args):
+        at = visit(*args)
+        calls.append((list(args[3]), at))
+        return at
+
+    monkeypatch.setattr(numeric, "_visit", recorded)
+    weiszfeld(t)
+    last = len(calls)
+    calls.clear()
+
+    def patched(*args):
+        at = recorded(*args)
+        if len(calls) == last:
+            trial, td, change, g, s, pull, mu = at
+            g, pull = ((0.0, 0.0, 0.0), pull) if average == "at_x" else (tuple(trial), 1.0)
+            at = trial, td, change, g, None, pull, mu
+        return at
+
+    monkeypatch.setattr(numeric, "_visit", patched)
+    sol = weiszfeld(t)
+    trials = [trial for trial, _ in calls[last:]]
+    assert trials == ([] if average == "at_x" else [[0.0, 0.0, 0.0]])
+    assert calls[last:] == [] or calls[last][1] is None
+    e = math.frexp(t.max_edge())[1]
+    assert sol.point == tuple(math.ldexp(c, e) for c in calls[last - 1][0])
+    assert equilibrium_residual(t, sol.point) <= 1e-6 * np.sum(t.weights)
 
 
 @pytest.mark.parametrize("k", [3, 6, 9, 12])
@@ -382,7 +453,8 @@ def test_weights_at_any_scale(w0):
 
 def per_vertex_visit(w, verts, x, trial, d):
     """The Newton pass as the loop over the vertices that _visit ran before
-    it was written out for four: every sum from 0.0, in vertex order."""
+    it was written out for four: every sum from 0.0, in vertex order, and
+    mu = det / (cxx + cyy + czz) (0.0 where H is singular)."""
     px, py, pz = x
     tx, ty, tz = trial
     sx, sy, sz = tx - px, ty - py, tz - pz
@@ -415,7 +487,7 @@ def per_vertex_visit(w, verts, x, trial, d):
     cxz = hxy * hyz - hxz * hyy
     det = hxx * cxx + hxy * cxy + hxz * cxz
     if not 0.0 < det < math.inf:
-        return trial, td, change, g, None, pull
+        return trial, td, change, g, None, pull, 0.0
     cyy = hxx * hzz - hxz * hxz
     cyz = hxy * hxz - hxx * hyz
     czz = hxx * hyy - hxy * hxy
@@ -424,7 +496,8 @@ def per_vertex_visit(w, verts, x, trial, d):
         -(cxy * gx + cyy * gy + cyz * gz) / det,
         -(cxz * gx + cyz * gy + czz * gz) / det,
     )
-    return trial, td, change, g, s if math.isfinite(s[0] + s[1] + s[2]) else None, pull
+    mu = det / (cxx + cyy + czz)
+    return trial, td, change, g, s if math.isfinite(s[0] + s[1] + s[2]) else None, pull, mu
 
 
 def float_bits(value):
@@ -462,3 +535,68 @@ def test_newton_pass_equals_the_per_vertex_loop():
         assert float_bits(numeric._visit(w, verts, x, trial, d)) == float_bits(expected)
         kinds[k, "on_vertex" if expected is None else "singular" if expected[4] is None else "step"] += 1
     assert len(kinds) == 9 and min(kinds.values()) >= 10
+
+
+def test_floating_objective_beyond_the_float_range_is_a_solver_error():
+    # it floats, and the scaled-back objective overflows; the refusal is the
+    # absorbed objective's
+    c = 2.0**400
+    t = WeightedTetrahedron(
+        [[0.0, 0.0, 0.0], [c, 0.0, 0.0], [0.0, c, 0.0], [0.0, 0.0, c]],
+        [1e300, 0.7e300, 2e300, 1.3e300],
+    )
+    assert classify(t).floating
+    with pytest.raises(FtSolveError, match="^the objective exceeds the float range$"):
+        weiszfeld(t)
+
+
+def gradient50(w, verts, x):
+    with mp.workdps(50):
+        g = [mpf(0)] * 3
+        for wi, v in zip(w, verts):
+            o = [mpf(p) - mpf(q) for p, q in zip(x, v)]
+            d = mp.sqrt(sum(c * c for c in o))
+            g = [gk + mpf(wi) * c / d for gk, c in zip(g, o)]
+        return g
+
+
+@pytest.mark.parametrize("k", [0, -400, 400])
+def test_gradient_dd_within_a_few_u2_of_50_digits(k):
+    # every other draw puts x within 1e-9 of the midpoint of A2A3, whose
+    # weights are 1e12 times the others: there the float gradient's heavy
+    # unit vectors cancel to about u w_h, and the double-double ones to u^2
+    rng = np.random.default_rng(83)
+    u2 = 2.0**-106
+    for n in range(60):
+        verts = [tuple(math.ldexp(c, k) for c in p) for p in rng.uniform(-1.0, 1.0, size=(4, 3))]
+        w = [float(c) for c in np.exp(rng.uniform(-2.0, 0.0, size=4))]
+        if n % 2:
+            w[0], w[1], w[2], w[3] = w[0] * 1e-12, w[1] * 1e-12, 1.0, 1.0
+            mid = [(p + q) / 2.0 for p, q in zip(verts[2], verts[3])]
+            x = [c + math.ldexp(o, k) for c, o in zip(mid, rng.normal(scale=1e-9, size=3))]
+        else:
+            x = [math.ldexp(c, k) for c in rng.uniform(-1.0, 1.0, size=3)]
+        g = numeric._gradient_dd(w, verts, x)
+        with mp.workdps(50):
+            for (hi, lo), ref in zip(g, gradient50(w, verts, x)):
+                assert hi == hi + lo  # normalized
+                assert abs(mpf(hi) + mpf(lo) - ref) <= 16 * u2 * sum(w)
+
+
+@pytest.mark.parametrize("k", [-400, 400])
+def test_heavy_pair_finish_commutes_with_power_of_two_scaling(monkeypatch, k):
+    # the double-double finish runs in the scaled frame too: at b4/b1 = 4e7
+    # the answer at 2^k times the vertices is 2^k times the answer
+    inst = SymmetricInstance(a=0.18324062329160828, b1=2.8592731359453207, b4=115062469.94217965)
+    t = inst.tetrahedron()
+    scaled = WeightedTetrahedron([[math.ldexp(c, k) for c in p] for p in t.vertices], t.weights)
+    visit = numeric._visit
+    exact = []
+
+    def recorded(*args):
+        exact.append(args[5:] == (True,))
+        return visit(*args)
+
+    monkeypatch.setattr(numeric, "_visit", recorded)
+    assert weiszfeld(scaled).point == tuple(math.ldexp(c, k) for c in weiszfeld(t).point)
+    assert exact.count(True) >= 4  # two finishing passes or more per solve

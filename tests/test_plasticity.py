@@ -314,6 +314,23 @@ def test_invariance_at_large_weight_ratios(a, b1, b4, lambdas):
     assert verify_invariance(make_instance(inst.tetrahedron(), a0, lambdas)) <= 1e-9 * a
 
 
+@pytest.mark.parametrize("ratio", [4e7, 1e9, 1.1e11])
+@pytest.mark.parametrize("heavy", ["b4", "b1"])
+def test_invariance_past_the_heavy_pair_rounding_floor(ratio, heavy):
+    # Near a heavy pair the float gradient keeps about w_h u of rounding,
+    # which left the re-solve up to (w_h / w_l) u a off: 9.3e-9 a at 4e7,
+    # 6.4e-8 a at 1e9 and 8.3e-6 a at 1.1e11 on b4-heavy draws like these.
+    # The double-double finish brings every draw to about u a.
+    rng = np.random.default_rng(int(math.log10(ratio)) + (heavy == "b1"))
+    for _ in range(8):
+        a = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+        b1, b4 = (1.0, ratio) if heavy == "b4" else (ratio, 1.0)
+        inst = SymmetricInstance(a=a, b1=b1, b4=b4)
+        lambdas = rng.uniform(0.5, 3.0, size=4)
+        a0 = solve_symmetric(inst).point
+        assert verify_invariance(make_instance(inst.tetrahedron(), a0, lambdas)) <= 1e-14 * a
+
+
 def test_invariance_needs_the_newton_step_halving():
     # b4/b1 = 1e9: this draw lands 8.6e-9 * a from a0; with the halving of
     # Newton steps switched off (HALVINGS = 0) the solver stalls 0.50 * a away
