@@ -2,8 +2,8 @@
 
 Two routes to the minimizer: the general 3-D solver (a Newton finish with a
 Weiszfeld fallback, run until a Newton step is under the step tolerance or
-certified, with a double-double finish for heavy weight pairs), and bisection
-of the slope of the reduced axial objective.
+certified, with a decimal finish for heavy weight pairs), and bisection of the
+slope of the reduced axial objective.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     on the Hessian's change puts x + s within 2^-53 edge of the minimizer.
     Where the float gradient's rounding could move a step by more than the
     tolerance (a heavy weight pair), the solver instead ends with Newton
-    steps on a double-double gradient, so the answer is right to about
-    2^-53 edge at any weight ratio.  NoConvergence is raised when the
-    residual at the last point exceeds 1e-6 * sum(w).
+    steps on a decimal gradient, halved like the float steps, so the answer
+    is right to about 2^-53 edge up to weight ratios of 1e15.  NoConvergence
+    is raised when the residual at the last point exceeds 1e-6 * sum(w).
 
     It runs on the vertices and the weights scaled by powers of two (exact)
     into unit range, so the Hessian stays in range at any edge length and
@@ -84,8 +84,8 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
     else to the Weiszfeld average.  It runs on the vertices scaled by 2^-e, exact
     in the normal range the edge bound keeps offsets and distances in, so the
     residual kernel's (w o)/d and fsum(w d) 2^e are the caller's-scale floats,
-    and every step (the seed, the stop, the double-double finish) commutes
-    with scaling the input by a power of two."""
+    and every step (the seed, the stop, the decimal finish, whose base-10
+    rounding sees the same floats) commutes with scaling by a power of two."""
     edge, e = math.frexp(t.max_edge())
     stop = STEP_TOL * edge
     scale = 2.0**-e  # the largest edge is in [2^-500, 2^500]
@@ -114,9 +114,9 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
     at = _visit(w, verts, x, x, w) or _visit(w, verts, mean, mean, w)
     # _visit's gradient is off by at most 16 u sum(w), u = 2^-53 (see _visit),
     # and its Newton step by up to that over mu <= lambda_min(H).  Where that
-    # exceeds stop (a heavy pair, whose nearly opposite unit vectors leave
-    # w_h u of rounding), no float step is certified, a step within that
-    # bound ends the float loop untaken, and the double-double finish follows
+    # exceeds stop (a heavy pair's unit vectors leave w_h u of rounding), no
+    # float step is certified, one within it ends the float loop untaken, and
+    # the decimal finish follows
     noise = 2.0**-49 * total_w
     # the certified stop's bound on |x + s - x*| (see _certified).  It can only
     # hold if pull n^2 <= cert sum(w) / sqrt(3): its L is at least
@@ -158,18 +158,28 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
         prev = x
         steps += 1
     if mu * stop < noise:
-        # the heavy-pair finish: Newton steps on the double-double gradient,
-        # right to about u^2 sum(w), each taken in full, until one is under
-        # stop.  The float Hessian's rounding only slows their quadratic
-        # convergence: from where the float steps turned to noise (up to 1e-1
-        # of the largest edge), 2 to 5 steps at weight ratios from 1e4 to 1e15
-        while steps < MAX_ITER and (at := _visit(w, verts, x, x, d, True)) and at[4]:
-            x, d, _, g, s, pull, mu = at
-            sx, sy, sz = s
-            prev, x = None, [x[0] + sx, x[1] + sy, x[2] + sz]
-            steps += 1
-            if math.hypot(sx, sy, sz) < stop:
+        # the heavy-pair finish: 2 to 5 Newton steps on the decimal gradient at
+        # ratios 1e4 to 1e15, until one is under stop; a longer one goes to the
+        # first x + f s, f in _TRIALS, whose change is under 32 u sum(w) f |s|
+        # (above its rounding, see _visit), as one from up to half an edge out
+        # at 1e15 can land next to a heavy vertex.  That pass is the next step's
+        at = _visit(w, verts, x, x, d, True)
+        while at is not None and at[4] is not None and steps < MAX_ITER:
+            x, d, _, _, s, _, _ = at
+            (px, py, pz), (sx, sy, sz) = x, s
+            n = math.hypot(sx, sy, sz)
+            if n < stop:
+                prev, x = None, [px + sx, py + sy, pz + sz]
+                steps += 1
                 break
+            for frac in _TRIALS:
+                at = _visit(w, verts, x, [px + frac * sx, py + frac * sy, pz + frac * sz], d, True)
+                if at is not None and at[2] <= 2.0 * noise * frac * n:
+                    break
+            else:
+                break
+            prev, x = x, at[0]
+            steps += 1
     residual, (d0, d1, d2, d3) = _residual(w, verts, x, edge)
     if residual > 1e-6 * total_w:
         last = math.hypot(*s) if prev is None else math.dist(x, prev)
@@ -254,9 +264,13 @@ def _visit(w, verts, x, trial, d, exact=False):
     overflows.  Each component of g is off by at most 9 u sum(w), u = 2^-53:
     the offset, length, quotient and weight round w_i u_i by up to 6 u w_i,
     and the sum of four adds 3 u sum(w); so |g| is off by at most
-    16 u sum(w).  With exact, g is instead _gradient_dd rounded to floats,
-    and the step its Newton step.  The four vertices are written out; each
-    sum runs in vertex order, the signed ones from 0.0."""
+    16 u sum(w).  The change is off by at most 20 u sum(w) |t|: with
+    D_i = d_i + td_i >= |t|, |2 v_i + t|, a term is off by at most w_i |t|
+    times 6 u from 2 v_i + t (its rounding 2 u (2 d_i + |t|) <= 6 u D_i),
+    4 u from t and the dot product, 4.5 u from D_i and 2 u from weight and
+    quotient, and the sum of four adds 3 u sum(w) |t|.  With exact, g is
+    instead _gradient_wide rounded to floats, and the step its Newton step.  The four vertices are written out;
+    each sum runs in vertex order, the signed ones from 0.0."""
     w0, w1, w2, w3 = w
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = verts
     d0, d1, d2, d3 = d
@@ -312,7 +326,7 @@ def _visit(w, verts, x, trial, d, exact=False):
     if not 0.0 < det < inf:
         return trial, [t0, t1, t2, t3], change, (gx, gy, gz), None, pull, 0.0
     if exact:
-        (gx, _), (gy, _), (gz, _) = _gradient_dd(w, verts, trial)
+        gx, gy, gz = map(float, _gradient_wide(w, verts, trial))
     cyy = hxx * hzz - hxz * hxz
     cyz = hxy * hxz - hxx * hyz
     czz = hxx * hyy - hxy * hxy
@@ -325,77 +339,24 @@ def _visit(w, verts, x, trial, d, exact=False):
     return trial, [t0, t1, t2, t3], change, (gx, gy, gz), s, pull, det / (cxx + cyy + czz)
 
 
-# Double-double arithmetic (Dekker, Numer. Math. 18, 1971): a value is a pair
-# (hi, lo) of floats with hi = fl(hi + lo), about 106 bits.  Products split
-# each factor in halves by Veltkamp's 2^27 + 1 (math.fma exists only from
-# Python 3.13); the factors stay below 2^996, so no split overflows.
+def _gradient_wide(w, verts, x):
+    """The gradient sum_i w_i (x - A_i) / |x - A_i| as three Decimals, for
+    float inputs.  Decimal of a float is exact, and each operation after it
+    rounds by at most e = 5e-34 relative: the length by 3.5 e, the quotient
+    and product 3 e more, the sum of four 3 e sum(w), so a heavy pair's unit
+    vectors cancel to 9.5 e sum(w) < u^2 sum(w) / 2, not to the float
+    gradient's u.  decimal is imported here, off the float path; neither the
+    caller's context (left as it was) nor DefaultContext's traps apply."""
+    from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
-
-def _two_sum(a, b):
-    """a + b as s + e exactly (Knuth's TwoSum)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _two_prod(a, b):
-    """a * b as p + e exactly (Dekker's product, in the normal range)."""
-    p = a * b
-    c = 134217729.0 * a  # 2^27 + 1
-    ah = c - (c - a)
-    al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(a, b):
-    """a + b, within 3 u^2 |a + b| even where a and b cancel (Joldes, Muller
-    and Popescu, ACM TOMS 44, 2017)."""
-    s, e = _two_sum(a[0], b[0])
-    t, f = _two_sum(a[1], b[1])
-    s, e = _two_sum(s, e + t)
-    return _two_sum(s, e + f)
-
-
-def _dd_mul(a, b):
-    """a * b, within a few u^2 |a b|."""
-    p, e = _two_prod(a[0], b[0])
-    return _two_sum(p, e + (a[0] * b[1] + a[1] * b[0]))
-
-
-def _dd_sqrt(a):
-    """sqrt(a) for a > 0, within a few u^2 of it: one Newton correction of the
-    float root, whose square's rounding error _two_prod gives exactly."""
-    r = math.sqrt(a[0])
-    p, e = _two_prod(r, r)
-    return _two_sum(r, ((a[0] - p) - e + a[1]) / (r + r))
-
-
-def _dd_div(a, b):
-    """a / b, within a few u^2 of it: the float quotient q corrected by the
-    remainder a - q b."""
-    q = a[0] / b[0]
-    p, e = _two_prod(q, b[0])
-    return _two_sum(q, ((a[0] - p) - e + a[1] - q * b[1]) / b[0])
-
-
-def _gradient_dd(w, verts, x):
-    """The gradient sum_i w_i (x - A_i) / |x - A_i| as three double-doubles,
-    each within a few u^2 sum(w), for float weights, vertices and point: the
-    offsets are exact (TwoSum), and each rounding after them is relative to
-    its own term, so the nearly opposite unit vectors of a heavy pair cancel
-    to their u^2 rounding, not to the float gradient's u."""
-    px, py, pz = x
-    gx = gy = gz = (0.0, 0.0)
-    for wi, (ax, ay, az) in zip(w, verts):
-        ox, oy, oz = _two_sum(px, -ax), _two_sum(py, -ay), _two_sum(pz, -az)
-        square = _dd_add(_dd_add(_dd_mul(ox, ox), _dd_mul(oy, oy)), _dd_mul(oz, oz))
-        k = _dd_div((wi, 0.0), _dd_sqrt(square))
-        gx = _dd_add(gx, _dd_mul(k, ox))
-        gy = _dd_add(gy, _dd_mul(k, oy))
-        gz = _dd_add(gz, _dd_mul(k, oz))
+    # decimal128's 34 digits: e ~ u^2 / 25 at any float scale
+    with localcontext(Context(prec=34, rounding=ROUND_HALF_EVEN, traps=[])):
+        px, py, pz = map(Decimal, x)
+        gx = gy = gz = Decimal(0)
+        for wi, (ax, ay, az) in zip(w, verts):
+            ox, oy, oz = px - Decimal(ax), py - Decimal(ay), pz - Decimal(az)
+            k = Decimal(wi) / (ox * ox + oy * oy + oz * oz).sqrt()
+            gx, gy, gz = gx + k * ox, gy + k * oy, gz + k * oz
     return gx, gy, gz
 
 
@@ -428,5 +389,9 @@ def minimize_reduced(inst: SymmetricInstance) -> float:
 
 def stationarity_defect(inst: SymmetricInstance, y: float) -> float:
     """Slope of b1*a01(y) - b4*a04(y); negative near y = c+, positive for
-    large y when b1 > b4, and zero at the signed-weight critical point."""
-    return _axial_slope(inst.b1, inst.b4, y / inst.a, -1)
+    large y when b1 > b4, and zero at the signed-weight critical point.  The
+    heavier weight is scaled into [0.5, 1) by a power of two, as for the
+    axial roots, so b4 c y cannot overflow; FtSolveError if the slope does."""
+    _, e = math.frexp(max(inst.b1, inst.b4))
+    slope = _axial_slope(math.ldexp(inst.b1, -e), math.ldexp(inst.b4, -e), y / inst.a, -1)
+    return _unscaled((slope,), e, "stationarity defect")[0]

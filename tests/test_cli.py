@@ -295,6 +295,20 @@ def test_answers_beyond_the_float_range(capsys, symmetric_file, sub, a, b1):
     assert "Traceback" not in err
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("b1, b4", [(1.6999999999999997e308, 1.7e308), (1.7e308, 1.6999999999999997e308)])
+def test_complementary_defect_near_the_top_of_the_float_range(capsys, symmetric_file, b1, b4):
+    # the defect printed as -Infinity, which is not JSON, with exit 0: the
+    # slope formed b4 c y at |y| ~ 1e5 before it divided
+    code, out, err = run(capsys, ["complementary", "--input", symmetric_file(a=1.0, b1=b1, b4=b4), "--json"])
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=refuse_constant)
+    assert abs(payload["stationarity_defect"]) <= 1e-15 * abs(b1 - b4)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

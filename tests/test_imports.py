@@ -21,7 +21,7 @@ before = set(sys.modules)
 new = set(sys.modules) - before
 print(json.dumps({{
     "ftsolve": sorted(m for m in new if m.split(".")[0] == "ftsolve"),
-    "stdlib": sorted(m for m in new & {{"dataclasses", "inspect"}}),
+    "stdlib": sorted(m for m in new & {{"dataclasses", "decimal", "inspect"}}),
     "extra": extra,
 }}))
 """
@@ -63,6 +63,32 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert out["extra"] == 0
     assert "ftsolve.numeric" not in out["ftsolve"]
     assert "ftsolve.plasticity" not in out["ftsolve"]
+
+
+def test_only_the_heavy_pair_finish_loads_decimal():
+    # the general solver's decimal finish imports decimal itself: a floating
+    # and an absorbed solve, a ray-stretch re-solve at moderate weights and
+    # the symmetric op load none of it, a re-solve at b4/b1 = 4.0e7 does
+    body = """
+import ftsolve
+unit = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+t = ftsolve.WeightedTetrahedron(unit, [1.1, 0.7, 2.0, 1.3])
+sol = ftsolve.weiszfeld(t)
+ftsolve.weiszfeld(ftsolve.WeightedTetrahedron(unit, [5.0, 1.0, 1.0, 1.0]))
+ftsolve.verify_invariance(ftsolve.PlasticityInstance(t, sol.point, [1.0, 1.5, 2.0, 0.8]))
+inst = ftsolve.SymmetricInstance(1.0, 2.5, 1.0)
+ftsolve.angles_at(inst.a, ftsolve.solve_symmetric(inst).y)
+ftsolve.complementary_axial(inst)
+light = "decimal" in sys.modules
+heavy = ftsolve.SymmetricInstance(0.18324062329160828, 2.8592731359453207, 115062469.94217965)
+stretch = [0.6969549259990532, 1.2575260385039744, 1.0061621604045787, 2.1976962491682817]
+a0 = ftsolve.solve_symmetric(heavy).point
+ftsolve.verify_invariance(ftsolve.PlasticityInstance(heavy.tetrahedron(), a0, stretch))
+extra = [light, "decimal" in sys.modules]
+"""
+    out = fresh(body)
+    assert out["extra"] == [False, True]
+    assert "decimal" in out["stdlib"]
 
 
 def test_first_public_name_binds_every_export():

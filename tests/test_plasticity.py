@@ -302,13 +302,20 @@ LARGE_RATIO = [
      (1.7727050302113232, 2.741871151085337, 2.8920951675740696, 1.9489856366479599)),
     (10.776218041100401, 2177047.878462987, 20.017840795481494,
      (0.6275728467974134, 1.1265052562728795, 0.543175726816472, 1.0543157654241844)),
+    (1.0, 1.0, 1e15,
+     (0.5310119685671215, 2.9265105669906233, 2.5422681078019185, 0.6220390034737526)),
+    (1.0, 1e15, 1.0,
+     (0.6089303587970475, 2.6876941867511515, 0.5446830649554133, 2.5277840831427043)),
 ]
 
 
 @pytest.mark.parametrize("a, b1, b4, lambdas", LARGE_RATIO)
 def test_invariance_at_large_weight_ratios(a, b1, b4, lambdas):
     # b4/b1 = 4e7, 3.4e-5 and 9.2e-6: the plain Weiszfeld iteration returned
-    # a point 0.3*a off for the first and raised NoConvergence for the others
+    # a point 0.3*a off for the first and raised NoConvergence for the others.
+    # At 1e15 and 1e-15 the heavy-pair finish took every decimal Newton step
+    # in full, and from where the float loop ended the first one landed next
+    # to a heavy vertex: NoConvergence, after steps up to 1e15 long
     inst = SymmetricInstance(a=a, b1=b1, b4=b4)
     a0 = solve_symmetric(inst).point
     assert verify_invariance(make_instance(inst.tetrahedron(), a0, lambdas)) <= 1e-9 * a
@@ -320,7 +327,7 @@ def test_invariance_past_the_heavy_pair_rounding_floor(ratio, heavy):
     # Near a heavy pair the float gradient keeps about w_h u of rounding,
     # which left the re-solve up to (w_h / w_l) u a off: 9.3e-9 a at 4e7,
     # 6.4e-8 a at 1e9 and 8.3e-6 a at 1.1e11 on b4-heavy draws like these.
-    # The double-double finish brings every draw to about u a.
+    # The decimal finish brings every draw to about u a.
     rng = np.random.default_rng(int(math.log10(ratio)) + (heavy == "b1"))
     for _ in range(8):
         a = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
@@ -332,13 +339,13 @@ def test_invariance_past_the_heavy_pair_rounding_floor(ratio, heavy):
 
 
 def test_invariance_needs_the_newton_step_halving():
-    # b4/b1 = 1e9: this draw lands 8.6e-9 * a from a0; with the halving of
+    # b4/b1 = 1e9: this draw lands 2.9e-18 * a from a0; with the halving of
     # Newton steps switched off (HALVINGS = 0) the solver stalls 0.50 * a away
     a = 0.8579700568840782
     inst = SymmetricInstance(a=a, b1=1.0, b4=1e9)
     lambdas = (0.8349940227937647, 0.5458602178513564, 2.631132517324947, 0.628112545042036)
     a0 = solve_symmetric(inst).point
-    assert verify_invariance(make_instance(inst.tetrahedron(), a0, lambdas)) <= 1e-7 * a
+    assert verify_invariance(make_instance(inst.tetrahedron(), a0, lambdas)) <= 1e-14 * a
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
