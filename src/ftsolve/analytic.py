@@ -143,12 +143,27 @@ def solve_symmetric(inst: SymmetricInstance) -> FtSolution:
     By symmetry the weighted unit-vector sum at (0, 0, y) points along the
     axis with length 2 |f(y)|.  f does not change when a and y scale
     together, so it is evaluated at a = 1, where its a^3 terms stay in range.
-    Raises FtSolveError when the objective does not fit in a float.
+    Raises FtSolveError when the objective or the residual does not fit in
+    a float.
     """
     y = ft_axial(inst)
-    a, b1, b4 = inst.a, inst.b1, inst.b4
+    a, ys, e = inst.a, y, 0
+    if a < 2.0**-960:
+        # on subnormals hypot(a/2, c - y) and y / a lose digits: a and y are
+        # scaled by the power of two 2^-e (exact, for a subnormal y too) that
+        # brings a into [1/8, 1/4), where 2 (b1 + b4) hypot stays in range at
+        # any weights, and the objective is scaled back.  Above 2^-960 a, a/2
+        # and c are normal, and the formula is the same unscaled
+        e = math.frexp(a)[1] + 2
+        a, ys = math.ldexp(a, -e), math.ldexp(y, -e)
+    b1, b4 = inst.b1, inst.b4
     c = a * (SQRT2 / 4.0)  # axial_distances(a, y) without its edge check: the instance made it
-    objective = 2.0 * (b1 * math.hypot(a / 2.0, c - y) + b4 * math.hypot(a / 2.0, c + y))
-    if not math.isfinite(objective):
-        raise FtSolveError(f"the objective exceeds the float range at a = {a}")
-    return FtSolution((0.0, 0.0, y), objective, 2.0 * abs(_axial_slope(b1, b4, y / a, 1)), y)
+    objective = math.ldexp(2.0 * (b1 * math.hypot(a / 2.0, c - ys) + b4 * math.hypot(a / 2.0, c + ys)), e)
+    if not objective < math.inf:
+        raise FtSolveError(f"the objective exceeds the float range at a = {inst.a}")
+    # neither term of the slope at the minimizer can overflow (each is under
+    # the weights), so an infinite residual is one beyond the float range
+    residual = 2.0 * abs(_axial_slope(b1, b4, ys / a, 1))
+    if not residual < math.inf:
+        raise FtSolveError("the residual exceeds the float range")
+    return FtSolution((0.0, 0.0, y), objective, residual, y)

@@ -29,10 +29,11 @@ __all__ = [
     "stationarity_defect",
 ]
 
-# step cap of the general solver (it took at most 12 steps on the general
-# benchmark's inputs, seeds 11-13), how often a Newton step that does not
-# lower the objective is halved before the Weiszfeld step replaces it, and
-# the step length, relative to the largest edge, that ends the loop
+# step cap of the general solver (on the general benchmark's inputs, seeds
+# 11-13, weiszfeld took at most 12 steps, and verify_invariance's re-solves
+# from a0 one each), how often a Newton step that does not lower the
+# objective is halved before the Weiszfeld step replaces it, and the step
+# length, relative to the largest edge, that ends the loop
 MAX_ITER = 100
 HALVINGS = 4
 STEP_TOL = 1e-12
@@ -78,14 +79,17 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     return FtSolution(t.vertices[i], objective, residual=math.nan, vertex=i)
 
 
-def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
+def _solve_floating(t: WeightedTetrahedron, start=None) -> FtSolution:
     """weiszfeld on a tetrahedron already classified as floating: each step goes
     to the first x + f s, f in _TRIALS, on no vertex that lowers the objective,
     else to the Weiszfeld average.  It runs on the vertices scaled by 2^-e, exact
     in the normal range the edge bound keeps offsets and distances in, so the
     residual kernel's (w o)/d and fsum(w d) 2^e are the caller's-scale floats,
     and every step (the seed, the stop, the decimal finish, whose base-10
-    rounding sees the same floats) commutes with scaling by a power of two."""
+    rounding sees the same floats) commutes with scaling by a power of two.
+    A start point on no vertex replaces the averages as the first point; the
+    stop rules are the same from any start, so it only saves passes: from the
+    minimizer itself the first Newton step ends the loop."""
     edge, e = math.frexp(t.max_edge())
     stop = STEP_TOL * edge
     scale = 2.0**-e  # the largest edge is in [2^-500, 2^500]
@@ -99,19 +103,24 @@ def _solve_floating(t: WeightedTetrahedron) -> FtSolution:
     w, we = t._units
     w0, w1, w2, w3 = w
     total_w = w0 + w1 + w2 + w3
-    # the Newton finish starts from two Weiszfeld averages of the weighted mean
-    # (plain sums do: only the start point depends on its last bits): on the
-    # general benchmark's inputs they save 1.9 passes per solve at the cost of
-    # 0.8, and a third average would save less than it costs
-    mean = [
-        (w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3) / total_w,
-        (w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3) / total_w,
-        (w0 * z0 + w1 * z1 + w2 * z2 + w3 * z3) / total_w,
-    ]
-    x = _averages(w, verts, mean)
-    # the start point, as a zero step from itself (any positive distances do);
-    # the mean, inside the hull, if the averages landed on a vertex
-    at = _visit(w, verts, x, x, w) or _visit(w, verts, mean, mean, w)
+    # the start point, as a zero step from itself (any positive distances do)
+    at = None
+    if start is not None:
+        x = [start[0] * scale, start[1] * scale, start[2] * scale]
+        at = _visit(w, verts, x, x, w)
+    if at is None:
+        # the Newton finish starts from two Weiszfeld averages of the weighted
+        # mean (plain sums do: only the start point depends on its last bits):
+        # on the general benchmark's inputs they save 1.9 passes per solve at
+        # the cost of 0.8, and a third average would save less than it costs
+        mean = [
+            (w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3) / total_w,
+            (w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3) / total_w,
+            (w0 * z0 + w1 * z1 + w2 * z2 + w3 * z3) / total_w,
+        ]
+        x = _averages(w, verts, mean)
+        # the mean, inside the hull, if the averages landed on a vertex
+        at = _visit(w, verts, x, x, w) or _visit(w, verts, mean, mean, w)
     # _visit's gradient is off by at most 16 u sum(w), u = 2^-53 (see _visit),
     # and its Newton step by up to that over mu <= lambda_min(H).  Where that
     # exceeds stop (a heavy pair's unit vectors leave w_h u of rounding), no

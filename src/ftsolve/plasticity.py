@@ -207,5 +207,8 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
 def verify_invariance(p: PlasticityInstance) -> float:
     """Re-solve the stretched tetrahedron numerically and report how far its
     minimizer moved from a0 (should be ~0), by math.dist: the squares of a
-    displacement lose digits below 2^-511 and round to 0 below 2^-537."""
-    return math.dist(p.a0, _solve_floating(stretch(p)).point)
+    displacement lose digits below 2^-511 and round to 0 below 2^-537.  The
+    re-solve starts at a0 and stops by the same rules as a cold solve, so
+    where a0 is the minimizer its first Newton step ends it, and the
+    displacement is that step's length."""
+    return math.dist(p.a0, _solve_floating(stretch(p), p.a0).point)

@@ -14,17 +14,20 @@ angles come from the 3-D vectors to the four vertices.
 
 import json
 import math
+import sys
 
 import pytest
-from oracle import quartic_coefficients, symmetric_reference
+from oracle import quartic_coefficients, regular_vertices, residual, symmetric_reference
 
 from ftsolve import (
+    FtSolveError,
     SymmetricInstance,
     WeightedTetrahedron,
     angles_at,
     classify,
     complementary_axial,
     equilibrium_residual,
+    ft_axial,
     minimize_reduced,
     solve_symmetric,
 )
@@ -112,6 +115,31 @@ def test_scales_far_from_unit(a, k):
     assert sol.y / a == pytest.approx(solve_symmetric(ref).y, rel=1e-14)
     assert complementary_axial(inst) / a == pytest.approx(complementary_axial(ref), rel=1e-14)
     assert sol.residual <= 1e-13 * (inst.b1 + inst.b4)
+
+
+@pytest.mark.parametrize("a, b1, b4", [(1e-310, 1e20, 1e19), (5e-324, 1e308, 1e-160)])
+def test_solve_symmetric_at_subnormal_edges(a, b1, b4):
+    # the distances ran on subnormals: the objective was 3.7e-14 off relative
+    # at a = 1e-310 and read 0.0 at a = 5e-324.  Against 50 digits at the
+    # returned y (itself subnormal); the residual, a sum of terms of the
+    # weights' size that cancel, keeps the rounding it has at any edge: 0.64
+    # u sum(w) at 1e-310
+    sol = solve_symmetric(SymmetricInstance(a=a, b1=b1, b4=b4))
+    ref_residual, ref_objective = residual(regular_vertices(a), (b1, b1, b4, b4), sol.point)
+    u, total_w = 2.0**-53, 2.0 * (b1 + b4)
+    assert abs(sol.objective - ref_objective) <= 2.0 * u * ref_objective
+    assert abs(sol.residual - ref_residual) <= 2.0 * u * total_w
+
+
+def test_solve_symmetric_refuses_a_residual_beyond_the_float_range():
+    # y rounds to 0.0 at a = 5e-324, where 50 digits put the residual above
+    # the largest float: it read inf, and the objective 0.0
+    a, b1, b4 = 5e-324, 1.7e308, 1e-160
+    inst = SymmetricInstance(a=a, b1=b1, b4=b4)
+    ref_residual, _ = residual(regular_vertices(a), (b1, b1, b4, b4), (0.0, 0.0, ft_axial(inst)))
+    assert ref_residual > sys.float_info.max
+    with pytest.raises(FtSolveError, match="the residual exceeds the float range"):
+        solve_symmetric(inst)
 
 
 @pytest.mark.parametrize("ratio", [1.0 + 1e-10, 1.001, 2.5, 1e4, 1e12])
