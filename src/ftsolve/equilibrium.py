@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CoincidentPoints
+from .errors import CoincidentPoints, FtSolveError
 from .geom_core import WeightedTetrahedron, _length, _point, _Record, _unscaled
 
 __all__ = ["CaseLabel", "classify", "equilibrium_residual"]
@@ -43,9 +43,20 @@ class CaseLabel(_Record):
 
 def classify(t: WeightedTetrahedron) -> CaseLabel:
     """Classify the minimizer as floating or absorbed at some vertex."""
+    vertex, m0, m1, m2, m3 = _margins(t)
+    e, ldexp = t._units[1], math.ldexp
+    try:
+        return CaseLabel(vertex, (ldexp(m0, e), ldexp(m1, e), ldexp(m2, e), ldexp(m3, e)))
+    except OverflowError:
+        raise FtSolveError("the margin exceeds the float range") from None
+
+
+def _margins(t: WeightedTetrahedron):
+    """classify's answer at the weights scaled by 2^-e (see WeightedTetrahedron),
+    as one tuple: the absorbing vertex (None if floating), then the four margins."""
     # the pull on A_i, sum_{j != i} w_j (A_i - A_j) / |A_i - A_j| in vertex
-    # order at the weights scaled by 2^-e, with w_j negated (exact) for j > i
-    (w0, w1, w2, w3), e = t._units
+    # order, with w_j negated (exact) for j > i
+    w0, w1, w2, w3 = t._units[0]
     (
         x10, y10, z10, x20, y20, z20, x21, y21, z21, x30, y30, z30, x31, y31, z31, x32, y32, z32,
         d10, d20, d21, d30, d31, d32,
@@ -69,14 +80,14 @@ def classify(t: WeightedTetrahedron) -> CaseLabel:
     m3 = sqrt(px3 * px3 + py3 * py3 + pz3 * pz3) - w3
     # uniqueness of the minimizer allows at most one non-positive margin
     vertex = 0 if m0 <= 0.0 else 1 if m1 <= 0.0 else 2 if m2 <= 0.0 else 3 if m3 <= 0.0 else None
-    return CaseLabel(vertex, _unscaled((m0, m1, m2, m3), e, "margin"))
+    return vertex, m0, m1, m2, m3
 
 
 def equilibrium_residual(t: WeightedTetrahedron, x) -> float:
     """Norm of the weighted unit-vector sum at x; zero exactly at a floating
     minimizer."""
     residual, _ = _residual(t._units[0], t.vertices, _point(x), t.max_edge())
-    return _unscaled((residual,), t._units[1], "residual")[0]
+    return _unscaled(residual, t._units[1], "residual")
 
 
 def _residual(w, verts, x, edge: float):

@@ -82,11 +82,17 @@ def _entries(values, n: int, what: str, entry=float) -> tuple:
 
 
 def _point(p) -> tuple[float, float, float]:
-    """Coerce to a finite 3-tuple of floats."""
-    x = _entries(p, 3, "a point")
-    if not all(map(math.isfinite, x)):
+    """Coerce to a finite 3-tuple of floats, in one unpacking from a list or
+    tuple (other inputs and refusals take the long way, _entries)."""
+    try:
+        x, y, z = p if type(p) in (list, tuple) else ()
+        out = x, y, z = float(x), float(y), float(z)
+    except (TypeError, ValueError):
+        out = x, y, z = _entries(p, 3, "a point")
+    inf = math.inf
+    if not (-inf < x < inf and -inf < y < inf and -inf < z < inf):
         raise ValueError("point coordinates must be finite")
-    return x
+    return out
 
 
 def _vertices(values) -> tuple:
@@ -95,7 +101,8 @@ def _vertices(values) -> tuple:
     if type(values) in (list, tuple):
         try:
             p0, p1, p2, p3 = values
-            if {type(p0), type(p1), type(p2), type(p3)} <= {list, tuple}:
+            seq = list, tuple
+            if type(p0) in seq and type(p1) in seq and type(p2) in seq and type(p3) in seq:
                 (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = p0, p1, p2, p3
                 f = float
                 c = f(x0), f(y0), f(z0), f(x1), f(y1), f(z1), f(x2), f(y2), f(z2), f(x3), f(y3), f(z3)
@@ -121,11 +128,12 @@ def _positive(values, what: str, name: str) -> tuple:
     return out
 
 
-def _unscaled(values, e: int, what: str) -> tuple:
-    """The values times 2^e (exact unless subnormal), for values computed at
-    weights scaled by 2^-e; FtSolveError if one exceeds the float range."""
+def _unscaled(value: float, e: int, what: str) -> float:
+    """The one value times 2^e (exact unless subnormal), for a value computed
+    at weights scaled by 2^-e; FtSolveError naming what if it exceeds the
+    float range."""
     try:
-        return tuple(map(math.ldexp, values, (e,) * len(values)))
+        return math.ldexp(value, e)
     except OverflowError:
         raise FtSolveError(f"the {what} exceeds the float range") from None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .equilibrium import classify
+from .equilibrium import _margins
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
 from .geom_core import WeightedTetrahedron, _length, _offsets, _point, _positive, _Record
 from .numeric import _solve_floating
@@ -199,7 +199,7 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
     except ValueError as e:
         # the base weights are valid, so a coordinate is not finite
         raise OutOfDomain("a stretched vertex exceeds the float range") from e
-    if not classify(stretched).floating:
+    if _margins(stretched)[0] is not None:  # classify's vertex, without the label
         raise FloatingViolated("stretched tetrahedron left the floating case")
     return stretched
 

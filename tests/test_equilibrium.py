@@ -94,6 +94,18 @@ def test_residual_where_the_squares_overflow_is_the_weight_sum():
     assert equilibrium_residual(t, (1e160, 0.0, 0.0)) == pytest.approx(5.1, rel=1e-15)
 
 
+def test_residual_where_a_square_is_subnormal_is_the_scaled_residual():
+    # x is 1e-160 from A1 at edge 2^-499, above the 1e-12 edge coincidence
+    # bound, but the squared offset, 1e-320, is subnormal: a plain sqrt of
+    # it reads 9.99994e-161.  The lengths fall back to hypot there, so the
+    # residual is the one at the same configuration scaled by 2^600
+    weights = (1.1, 0.7, 2.0, 1.3)
+    t = WeightedTetrahedron(embed_regular(2.0**-499), weights)
+    x = (t.vertices[0][0], 1e-160, t.vertices[0][2])
+    scaled = WeightedTetrahedron(embed_regular(2.0**101), weights)
+    assert equilibrium_residual(t, x) == equilibrium_residual(scaled, [math.ldexp(c, 600) for c in x])
+
+
 def test_residual_at_vertex_raises():
     t = regular_tet([1.0, 1.0, 1.0, 1.0])
     with pytest.raises(CoincidentPoints):

@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 from ftsolve import (
     FtSolveError,
     NoConvergence,
+    OutOfDomain,
     SymmetricInstance,
     WeightedTetrahedron,
     classify,
@@ -440,6 +441,20 @@ def test_stationarity_defect_at_the_midpoint():
     # slope is -(b1 + b4) c / a01 = -(b1 + b4) / sqrt(3)
     defect = numeric.stationarity_defect(REF, 0.0)
     assert defect == pytest.approx(-(REF.b1 + REF.b4) / math.sqrt(3), rel=1e-15)
+
+
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+def test_stationarity_defect_refuses_a_non_finite_y(y):
+    # it returned nan, where angles_at refuses y and reduced_objective raises
+    with pytest.raises(ValueError, match="^the axial coordinate must be finite"):
+        numeric.stationarity_defect(SymmetricInstance(1.0, 2.0, 1.0), y)
+
+
+@pytest.mark.parametrize("y", [1e308, -1e308])
+def test_stationarity_defect_refuses_y_beyond_2_to_the_1024_edges(y):
+    # y / a overflowed and the slope read nan; angles_at refuses it the same way
+    with pytest.raises(OutOfDomain, match="^the axial point y = .* edge lengths away$"):
+        numeric.stationarity_defect(SymmetricInstance(1e-10, 2.0, 1.0), y)
 
 
 @pytest.mark.parametrize("w0", [(1.1, 0.7, 2.0, 1.3), (5.0, 1.0, 1.0, 1.0)], ids=["floating", "absorbed"])

@@ -14,8 +14,10 @@ from ftsolve import (
     PlasticityInstance,
     SymmetricInstance,
     WeightedTetrahedron,
+    classify,
     dihedral_alpha,
     dihedral_angle,
+    embed_regular,
     equilibrium_residual,
     height_012,
     measure_dihedral_data,
@@ -237,6 +239,34 @@ def test_stretch_rejects_absorbed():
         verify_invariance(inst)
 
 
+def test_stretch_refuses_exactly_where_classify_says_absorbed():
+    # stretch tests the floating case without building classify's label; its
+    # answer must be classify's on the tetrahedron it would return.  From a0
+    # off the minimizer a stretch can leave the floating case: the absorbed
+    # base above, and bases within 1e-2 of absorption at A4 (sqrt(6) is the
+    # pull on A4 at unit weights), stretched from off their minimizers
+    rng = random.Random(27)
+    absorbed = WeightedTetrahedron(embed_regular(1.0), [1.0, 1.0, 1.0, 3.0])
+    draws = [(absorbed, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])]
+    for k in range(300):
+        w4 = math.sqrt(6.0) * (1.0 + rng.uniform(-1e-2, 1e-2))
+        base = absorbed if k % 3 == 0 else WeightedTetrahedron(embed_regular(1.0), [1.0, 1.0, 1.0, w4])
+        a0 = [rng.uniform(-0.2, 0.2) for _ in range(3)]
+        draws.append((base, a0, [math.exp(rng.uniform(math.log(0.5), math.log(3.0))) for _ in range(4)]))
+    refused = 0
+    for base, a0, lambdas in draws:
+        p = make_instance(base, a0, lambdas)
+        moved = [[c - k * (c - v) for c, v in zip(a0, vertex)] for k, vertex in zip(lambdas, base.vertices)]
+        expected = WeightedTetrahedron(moved, base.weights)
+        if classify(expected).floating:
+            assert stretch(p) == expected
+        else:
+            refused += 1
+            with pytest.raises(FloatingViolated):
+                stretch(p)
+    assert 0 < refused < len(draws)
+
+
 def test_stretch_past_the_float_range_is_out_of_domain():
     # the stretched A1 would sit at x = -5e308; this was a bare ValueError
     inst = SymmetricInstance(a=10.0, b1=2.5, b4=1.0)
@@ -354,6 +384,41 @@ def test_start_on_a_vertex_is_the_cold_solve():
         cold = numeric._solve_floating(t)
         for v in t.vertices:
             assert numeric._solve_floating(t, v) == cold
+
+
+def test_answers_from_four_starts_are_within_the_rounding_bound():
+    # the certified stop bounds Newton's truncation to 2^-53 edge, and the
+    # float gradient's rounding, up to 16 u sum(w), moves the last step by up
+    # to that over the Hessian's least eigenvalue: two answers lie within
+    # twice the sum apart.  On stretched two-pair tetrahedra, solved cold,
+    # from a0 and from 0.1 and 2 edges off it, they land up to 9.7 * 2^-52
+    # edge apart (1,500 draws), not within 2^-53 edge as was documented
+    rng = random.Random(28)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    worst = 0.0
+    for _ in range(300):
+        inst = SymmetricInstance(1.0, log_uniform(0.2, 5.0), log_uniform(0.2, 5.0))
+        a0 = solve_symmetric(inst).point
+        t = stretch(make_instance(inst.tetrahedron(), a0, [log_uniform(0.5, 3.0) for _ in range(4)]))
+        edge = t.max_edge()
+        starts = [None, a0]
+        for reach in (0.1, 2.0):
+            u = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            off = reach * edge / math.hypot(*u)
+            starts.append([c + off * d for c, d in zip(a0, u)])
+        answers = [numeric._solve_floating(t, start).point for start in starts]
+        spread = max(math.dist(p, q) for p in answers for q in answers)
+        offsets = np.asarray(a0) - np.asarray(t.vertices)
+        lengths = np.linalg.norm(offsets, axis=1)
+        units = offsets / lengths[:, None]
+        hessian = sum(w / d * (np.eye(3) - np.outer(v, v)) for w, d, v in zip(t.weights, lengths, units))
+        rounding = 16 * 2.0**-53 * sum(t.weights) / np.linalg.eigvalsh(hessian)[0]
+        assert spread <= 2.0 * (2.0**-53 * edge + rounding)
+        worst = max(worst, spread / edge)
+    assert worst <= 16 * 2.0**-52
 
 
 # (a, b1, b4, lambdas) of the cli benchmark's large_ratio plasticity inputs
