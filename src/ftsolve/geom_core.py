@@ -95,24 +95,6 @@ def _point(p) -> tuple[float, float, float]:
     return out
 
 
-def _vertices(values) -> tuple:
-    """_entries(values, 4, "vertices", _point), in one unpacking from a list or
-    tuple of lists or tuples; other inputs and refusals take the long way."""
-    if type(values) in (list, tuple):
-        try:
-            p0, p1, p2, p3 = values
-            seq = list, tuple
-            if type(p0) in seq and type(p1) in seq and type(p2) in seq and type(p3) in seq:
-                (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = p0, p1, p2, p3
-                f = float
-                c = f(x0), f(y0), f(z0), f(x1), f(y1), f(z1), f(x2), f(y2), f(z2), f(x3), f(y3), f(z3)
-                if math.isfinite(sum(c)):  # a nan or an infinity makes the sum one
-                    return c[0:3], c[3:6], c[6:9], c[9:12]
-        except (TypeError, ValueError):
-            pass
-    return _entries(values, 4, "vertices", _point)
-
-
 def _positive(values, what: str, name: str) -> tuple:
     """_entries(values, 4, what), in one unpacking from a list or tuple (other
     inputs and refusals take the long way); ValueError naming name unless
@@ -188,10 +170,25 @@ class WeightedTetrahedron(_Record):
     __slots__ = ("vertices", "weights", "_pairs", "_units", "_max_edge")
 
     def __init__(self, vertices, weights):
-        v = _vertices(vertices)
+        # _entries(vertices, 4, "vertices", _point), in one unpacking from a list
+        # or tuple of lists or tuples; other inputs and refusals take the long way
+        seq = list, tuple
+        try:
+            p0, p1, p2, p3 = vertices if type(vertices) in seq else ()
+            if not (type(p0) in seq and type(p1) in seq and type(p2) in seq and type(p3) in seq):
+                raise TypeError
+            (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = p0, p1, p2, p3
+            f = float
+            x0, y0, z0, x1, y1, z1 = f(x0), f(y0), f(z0), f(x1), f(y1), f(z1)
+            x2, y2, z2, x3, y3, z3 = f(x2), f(y2), f(z2), f(x3), f(y3), f(z3)
+            # a nan or an infinity makes the sum one; huge finite ones take the long way too
+            if not math.isfinite(x0 + y0 + z0 + x1 + y1 + z1 + x2 + y2 + z2 + x3 + y3 + z3):
+                raise ValueError
+            v = (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3)
+        except (TypeError, ValueError):
+            v = (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = _entries(vertices, 4, "vertices", _point)
         w = _positive(weights, "weights", "weights")
         # each vertex pair once (see _pairs)
-        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = v
         x10, y10, z10 = x1 - x0, y1 - y0, z1 - z0
         x20, y20, z20 = x2 - x0, y2 - y0, z2 - z0
         x21, y21, z21 = x2 - x1, y2 - y1, z2 - z1

@@ -68,13 +68,24 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     It runs on the vertices and the weights scaled by powers of two (exact)
     into unit range, so the Hessian stays in range at any edge length and
     any weight.  Absorbed instances short-circuit to the absorbing vertex.
+    The loop is _solve_floating's; only here are the objective and the
+    residual scaled back, with FtSolveError where the objective exceeds the
+    float range.
     """
     label = classify(t)
+    (w0, w1, w2, w3), we = t._units
     if label.floating:
-        return _solve_floating(t)
+        point, residual, (d0, d1, d2, d3) = _solve_floating(t)
+        # f is at least w_max d_max >= 1/8 in the scaled frame, so 2^e alone
+        # would leave it normal and exact: 2^(e + we) rounds it once, as 2^e
+        # and then 2^we do, and is refused beyond the float range as the
+        # absorbed objective is.  A residual under the threshold, at most 4e-6
+        # there, stays in range
+        e = math.frexp(t.max_edge())[1]
+        objective = _unscaled(math.fsum((w0 * d0, w1 * d1, w2 * d2, w3 * d3)), e + we, "objective")
+        return FtSolution(point, objective, math.ldexp(residual, we))
     i = label.vertex
     # f(A_i) from the lengths of the vertex pairs stored at construction
-    (w0, w1, w2, w3), we = t._units
     d10, d20, d21, d30, d31, d32 = t._pairs[18:]
     terms = (
         (w1 * d10, w2 * d20, w3 * d30),
@@ -86,17 +97,25 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     return FtSolution(t.vertices[i], objective, residual=math.nan, vertex=i)
 
 
-def _solve_floating(t: WeightedTetrahedron, start=None) -> FtSolution:
-    """weiszfeld on a tetrahedron already classified as floating: each step goes
-    to the first x + f s, f in _TRIALS, on no vertex that lowers the objective,
-    else to the Weiszfeld average.  It runs on the vertices scaled by 2^-e, exact
-    in the normal range the edge bound keeps offsets and distances in, so the
-    residual kernel's (w o)/d and fsum(w d) 2^e are the caller's-scale floats,
-    and every step (the seed, the stop, the decimal finish, whose base-10
-    rounding sees the same floats) commutes with scaling by a power of two.
-    A start point on no vertex replaces the averages as the first point; the
-    stop rules are the same from any start, so it only saves passes: from the
-    minimizer itself the first Newton step ends the loop."""
+def _solve_floating(t: WeightedTetrahedron, start=None):
+    """weiszfeld's loop on a tetrahedron already classified as floating: each
+    step goes to the first x + f s, f in _TRIALS, on no vertex that lowers the
+    objective, else to the Weiszfeld average.  It runs on the vertices scaled by
+    2^-e, e the exponent of the largest edge, exact in the normal range the edge
+    bound keeps offsets and distances in, so the residual kernel's (w o)/d and
+    fsum(w d) 2^e are the caller's-scale floats, and every step (the seed, the
+    stop, the decimal finish, whose base-10 rounding sees the same floats)
+    commutes with scaling by a power of two.  A start point on no vertex
+    replaces the averages as the first point; the stop rules are the same from
+    any start, so it only saves passes: from the minimizer itself the first
+    Newton step ends the loop.
+
+    It ends at the gated point, with NoConvergence above the residual threshold
+    and CoincidentPoints on a vertex (see _residual), and returns that point at
+    the caller's scale, its residual at the weights scaled by 2^-we (see
+    WeightedTetrahedron._units) and its four distances to the vertices scaled
+    by 2^-e.  It computes no objective: weiszfeld builds the FtSolution, and
+    verify_invariance reads only the point."""
     edge, e = math.frexp(t.max_edge())
     stop = STEP_TOL * edge
     scale = 2.0**-e  # the largest edge is in [2^-500, 2^500]
@@ -196,19 +215,14 @@ def _solve_floating(t: WeightedTetrahedron, start=None) -> FtSolution:
                 break
             prev, x = x, at[0]
             steps += 1
-    residual, (d0, d1, d2, d3) = _residual(w, verts, x, edge)
+    residual, d = _residual(w, verts, x, edge)
     if residual > 1e-6 * total_w:
         last = math.hypot(*s) if prev is None else math.dist(x, prev)
         raise NoConvergence(
             f"residual {_unscaled(residual, we, 'residual'):.3e} above threshold after "
             f"{steps} step(s), the last {last / scale:.3e} long"
         )
-    # f is at least w_max d_max >= 1/8 here, so 2^e alone would leave it normal
-    # and exact: 2^(e + we) rounds it once, as 2^e and then 2^we do, and is
-    # refused beyond the float range as the absorbed objective is.  A residual
-    # under the threshold, at most 4e-6 here, stays in range
-    objective = _unscaled(math.fsum((w0 * d0, w1 * d1, w2 * d2, w3 * d3)), e + we, "objective")
-    return FtSolution((x[0] / scale, x[1] / scale, x[2] / scale), objective, math.ldexp(residual, we))
+    return (x[0] / scale, x[1] / scale, x[2] / scale), residual, d
 
 
 def _certified(w, d, n, bound):

@@ -80,13 +80,18 @@ def height_012(a01: float, a02: float, a12: float) -> float:
     the squared area) is taken in Kahan's needle-triangle form ("Miscalculating
     Area and Angles of a Needle-like Triangle", 2014): with the sides sorted
     x >= y >= z, (x + (y + z))(z - (x - y))(z + (x - y))(x + (y - z)) keeps
-    full precision for a needle-like triangle, where the radicand cancels."""
-    if a12 <= 0:
+    full precision for a needle-like triangle, where the radicand cancels.
+    DegenerateTriangle unless a12 is positive and every side finite and not
+    negative (a nan fails every test)."""
+    inf = math.inf
+    if not a12 > 0:
         raise DegenerateTriangle("base side a12 must be positive")
+    if not (0 <= a01 < inf and 0 <= a02 < inf and a12 < inf):
+        raise DegenerateTriangle("side lengths must be finite and not negative")
     (a01, a02, a12), e = _unit(a01, a02, a12)
     x, y, z = sorted((a01, a02, a12), reverse=True)
     radicand = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
-    if radicand < 0:
+    if not radicand >= 0:
         raise DegenerateTriangle("side lengths violate the triangle inequality")
     return math.ldexp(math.sqrt(radicand) / (2.0 * a12), e)
 
@@ -98,9 +103,13 @@ def _foot(a01: float, a02: float, a12: float) -> float:
 
 
 def dihedral_alpha(d: DihedralData, h: float) -> float:
-    """Dihedral angle between planes A0A1A2 and A3A1A2 along edge A1A2."""
-    if h <= 0:
+    """Dihedral angle between planes A0A1A2 and A3A1A2 along edge A1A2;
+    OutOfDomain unless h is positive and finite, and where the arccos
+    argument is nan or beyond the slack."""
+    if not h > 0:
         raise OutOfDomain("height must be positive")
+    if h == math.inf:
+        raise OutOfDomain("height must be finite")
     sin123 = math.sin(d.alpha_123)
     if sin123 == 0.0:
         raise OutOfDomain("alpha_123 must not be 0 or pi")
@@ -109,19 +118,25 @@ def dihedral_alpha(d: DihedralData, h: float) -> float:
         (a02**2 + a23**2 - a03**2) / (2.0 * a23)
         - _foot(a01, a02, a12) * math.cos(d.alpha_123)
     ) / (h * sin123)
-    if abs(arg) > 1.0 + CLAMP_SLACK:
+    if not abs(arg) <= 1.0 + CLAMP_SLACK:
         raise OutOfDomain(f"arccos argument {arg} out of range beyond slack")
     return math.acos(min(1.0, max(-1.0, arg)))
 
 
 def predict_a04p(d: DihedralData, h: float, alpha: float) -> float:
     """Distance from A0 to the stretched vertex A4' by the generalized
-    cosine law; collapses to the planar cosine law at h = 0."""
+    cosine law; collapses to the planar cosine law at h = 0.  OutOfDomain
+    unless h is finite and not negative and alpha finite, and where the
+    radicand is negative or nan."""
+    if not 0 <= h < math.inf:
+        raise OutOfDomain("height must be finite and not negative")
+    if not -math.inf < alpha < math.inf:
+        raise OutOfDomain("alpha must be finite")
     (a01, a02, a12, a24p, h), e = _unit(d.a01, d.a02, d.a12, d.a24p, h)
     proj = _foot(a01, a02, a12) * math.cos(d.alpha_124p)
     proj += h * math.sin(d.alpha_124p) * math.cos(d.alpha_g4p - alpha)
     radicand = a02**2 + a24p**2 - 2.0 * a24p * proj
-    if radicand < 0:
+    if not radicand >= 0:
         raise OutOfDomain("negative radicand; inconsistent inputs")
     return math.ldexp(math.sqrt(radicand), e)
 
@@ -191,9 +206,15 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
     floating case; otherwise FloatingViolated is raised.  OutOfDomain is
     raised when a stretched vertex overflows.
     """
-    # A_i' = a0 - lambda_i (a0 - A_i)
-    (x, y, z), pairs = p.a0, zip(p.lambdas, p.base.vertices)
-    new_vertices = [(x - k * (x - a), y - k * (y - b), z - k * (z - c)) for k, (a, b, c) in pairs]
+    # A_i' = a0 - lambda_i (a0 - A_i), the four vertices written out
+    (x, y, z), (k0, k1, k2, k3) = p.a0, p.lambdas
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = p.base.vertices
+    new_vertices = (
+        (x - k0 * (x - x0), y - k0 * (y - y0), z - k0 * (z - z0)),
+        (x - k1 * (x - x1), y - k1 * (y - y1), z - k1 * (z - z1)),
+        (x - k2 * (x - x2), y - k2 * (y - y2), z - k2 * (z - z2)),
+        (x - k3 * (x - x3), y - k3 * (y - y3), z - k3 * (z - z3)),
+    )
     try:
         stretched = WeightedTetrahedron(new_vertices, p.base.weights)
     except ValueError as e:
@@ -210,5 +231,7 @@ def verify_invariance(p: PlasticityInstance) -> float:
     displacement lose digits below 2^-511 and round to 0 below 2^-537.  The
     re-solve starts at a0 and stops by the same rules as a cold solve, so
     where a0 is the minimizer its first Newton step ends it, and the
-    displacement is that step's length."""
-    return math.dist(p.a0, _solve_floating(stretch(p), p.a0).point)
+    displacement is that step's length.  It takes only the re-solve's point:
+    the objective, which weiszfeld would also report, is never computed, so
+    weights whose objective exceeds the float range still get an answer."""
+    return math.dist(p.a0, _solve_floating(stretch(p), p.a0)[0])

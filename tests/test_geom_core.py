@@ -16,7 +16,7 @@ from ftsolve import (
     embed_regular,
     objective,
 )
-from ftsolve.geom_core import _entries, _point, _positive, _vertices
+from ftsolve.geom_core import _entries, _point, _positive
 
 # axial coordinate of the minimizer for a=1, b1=2.5, b4=1, frozen from the
 # closed form and confirmed by bisection of the reduced objective's
@@ -223,22 +223,27 @@ VERTEX_INPUTS = {
     "none": lambda: [[0.0, None, 0.0], *UNIT[1:]],
     "non-numeric-string": lambda: [[0.0, "x", 0.0], *UNIT[1:]],
     "inf": lambda: [[0.0, 0.0, math.inf], *UNIT[1:]],
+    "nan": lambda: ([0.0, 0.0, 0.0], (1.0, math.nan, 0.0), *UNIT[2:]),
+    "string-row": lambda: ["123", *UNIT[1:]],
+    "dict-row": lambda: [{0: 0.0, 1: 0.0, 2: 0.0}, *UNIT[1:]],
 }
 
 
 @pytest.mark.parametrize("make", VERTEX_INPUTS.values(), ids=VERTEX_INPUTS.keys())
 def test_vertices_unpacked_at_once_as_in_general(make):
-    # lists and tuples of lists and tuples are unpacked in one step; that
-    # must give what the entry-by-entry coercion gives, or its refusal
-    def outcome(coerce):
+    # WeightedTetrahedron unpacks lists and tuples of lists and tuples in one
+    # step; that must build the record the entry-by-entry coercion builds,
+    # derived slots included, or give its refusal
+    def outcome(vertices):
         try:
-            return coerce(make())
-        except ValueError as e:
-            return str(e)
+            t = WeightedTetrahedron(vertices(), W4)
+        except (ValueError, FtSolveError) as e:
+            return type(e).__name__, str(e)
+        return t, t.vertices, t.weights, t._pairs, t._units, t._max_edge
 
-    fast = outcome(_vertices)
-    assert fast == outcome(lambda v: _entries(v, 4, "vertices", _point))
-    assert isinstance(fast, str) or all(type(c) is float for p in fast for c in p)
+    fast = outcome(make)
+    assert fast == outcome(lambda: _entries(make(), 4, "vertices", _point))
+    assert type(fast[0]) is str or all(type(c) is float for p in fast[1] for c in p)
 
 
 FOUR_INPUTS = {

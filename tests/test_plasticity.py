@@ -10,6 +10,7 @@ from ftsolve import (
     DegenerateTriangle,
     DihedralData,
     FloatingViolated,
+    FtSolveError,
     OutOfDomain,
     PlasticityInstance,
     SymmetricInstance,
@@ -374,8 +375,8 @@ def test_start_off_the_minimizer_lands_on_the_cold_answer(reach):
     for t, a0, u in stretched_draws(40):
         edge = t.max_edge()
         off = reach * edge / math.hypot(*u)
-        warm = numeric._solve_floating(t, [c + off * d for c, d in zip(a0, u)]).point
-        assert math.dist(warm, numeric._solve_floating(t).point) <= 2**-52 * edge
+        warm, _, _ = numeric._solve_floating(t, [c + off * d for c, d in zip(a0, u)])
+        assert math.dist(warm, numeric._solve_floating(t)[0]) <= 2**-52 * edge
 
 
 def test_start_on_a_vertex_is_the_cold_solve():
@@ -409,7 +410,7 @@ def test_answers_from_four_starts_are_within_the_rounding_bound():
             u = [rng.gauss(0.0, 1.0) for _ in range(3)]
             off = reach * edge / math.hypot(*u)
             starts.append([c + off * d for c, d in zip(a0, u)])
-        answers = [numeric._solve_floating(t, start).point for start in starts]
+        answers = [numeric._solve_floating(t, start)[0] for start in starts]
         spread = max(math.dist(p, q) for p in answers for q in answers)
         offsets = np.asarray(a0) - np.asarray(t.vertices)
         lengths = np.linalg.norm(offsets, axis=1)
@@ -585,8 +586,9 @@ def ref_dihedral_data(**changes):
     return DihedralData(**{**fields, **changes})
 
 
-@pytest.mark.parametrize("h", [0.0, -1.0])
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
 def test_dihedral_alpha_refuses_a_height_not_positive(h):
+    # nan passed h <= 0 and gave pi
     with pytest.raises(OutOfDomain, match="^height must be positive$"):
         dihedral_alpha(ref_dihedral_data(), h)
 
@@ -615,3 +617,53 @@ def test_predict_a04p_refuses_a_negative_radicand():
     d = ref_dihedral_data(a01=1.0, a02=1.0, a24p=1.0, alpha_124p=math.pi / 2.0)
     with pytest.raises(OutOfDomain, match="^negative radicand; inconsistent inputs$"):
         predict_a04p(d, 5.0, 0.0)
+
+
+def test_dihedral_alpha_refuses_an_infinite_height():
+    # inf scaled every length to 0 and gave pi/2
+    with pytest.raises(OutOfDomain, match="^height must be finite$"):
+        dihedral_alpha(ref_dihedral_data(), math.inf)
+
+
+@pytest.mark.parametrize(
+    "h, alpha, message",
+    [
+        (math.nan, 0.2, "^height must be finite and not negative$"),
+        (math.inf, 0.2, "^height must be finite and not negative$"),
+        (-0.5, 0.2, "^height must be finite and not negative$"),
+        (0.5, math.nan, "^alpha must be finite$"),
+        (0.5, math.inf, "^alpha must be finite$"),
+    ],
+    ids=["nan height", "inf height", "negative height", "nan alpha", "inf alpha"],
+)
+def test_predict_a04p_refuses_inputs_out_of_domain(h, alpha, message):
+    # a nan height or alpha gave nan, an infinite alpha a bare ValueError
+    d = ref_dihedral_data(a24p=0.5, alpha_124p=math.pi / 3.0)
+    with pytest.raises(OutOfDomain, match=message):
+        predict_a04p(d, h, alpha)
+
+
+@pytest.mark.parametrize(
+    "sides",
+    [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+     (math.inf, 1.0, 1.0), (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)],
+    ids=["nan a01", "nan a02", "negative a01", "negative a02", "inf a01", "inf a12", "nan a12"],
+)
+def test_height_012_refuses_a_side_not_finite_or_negative(sides):
+    # (nan, 1, 1) gave nan and (-1, 1, 1) the height of the unit triangle, 0.866
+    with pytest.raises(DegenerateTriangle):
+        height_012(*sides)
+
+
+def test_re_solve_whose_objective_overflows_reports_the_displacement():
+    # the unit corner at edge scale 1e10 with weights near 1e298: the
+    # objective, about 4e308, exceeds the float range, and verify_invariance
+    # refused it although it reports only the displacement.  weiszfeld, which
+    # reports the objective, must still refuse it
+    unit = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    a0 = [1e10 * c for c in weiszfeld(WeightedTetrahedron(unit, [1.1, 0.7, 2.0, 1.3])).point]
+    base = WeightedTetrahedron([[1e10 * c for c in p] for p in unit], [1.1e298, 0.7e298, 2.0e298, 1.3e298])
+    p = PlasticityInstance(base, a0, [1.0, 1.5, 2.0, 0.8])
+    assert verify_invariance(p) <= 2.0**-50 * stretch(p).max_edge()
+    with pytest.raises(FtSolveError, match="^the objective exceeds the float range$"):
+        weiszfeld(base)
