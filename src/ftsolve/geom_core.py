@@ -284,8 +284,11 @@ def embed_regular(a: float) -> tuple[tuple[float, float, float], ...]:
 
 def axial_distances(a: float, y: float) -> tuple[float, float]:
     """Distances from the axial point at coordinate y to the A1/A2 pair
-    (a01) and to the A3/A4 pair (a04)."""
+    (a01) and to the A3/A4 pair (a04); as angles_at, ValueError unless y is
+    finite."""
     c = _edge(a)
+    if not math.isfinite(y):
+        raise ValueError(f"the axial coordinate must be finite, got {y}")
     return math.hypot(a / 2.0, c - y), math.hypot(a / 2.0, c + y)
 
 

@@ -2,8 +2,8 @@
 
 Two routes to the minimizer: the general 3-D solver (a Newton finish with a
 Weiszfeld fallback, run until a Newton step is under the step tolerance or
-certified, with a decimal finish for heavy weight pairs), and bisection of the
-slope of the reduced axial objective.
+certified, and for heavy weight pairs run once more on a decimal gradient), and
+bisection of the slope of the reduced axial objective.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     up to 16 u sum(w), u = 2^-53, which moves the last step by up to that
     over mu <= lambda_min(H), so the answer is within about
     2^-53 edge + 16 u sum(w) / mu of the minimizer.  Where that rounding
-    could exceed the tolerance (a heavy weight pair), the solver instead
-    ends with Newton steps on a decimal gradient, halved like the float
-    steps, whose rounding is under u^2 sum(w), up to weight ratios of 1e15.
+    could exceed the tolerance (a heavy weight pair), the same Newton loop
+    runs once more on a decimal gradient, whose rounding is under
+    u^2 sum(w), up to weight ratios of 1e15; it halves steps as the float
+    run does, but has neither the certified stop nor the Weiszfeld step.
     Solved cold, from the minimizer and from 0.1 and 2 edges off it,
     stretched two-pair tetrahedra (weights log-uniform in [0.2, 5], stretch
     factors in [0.5, 3]; 1,500 draws) gave answers up to 9.7 * 2^-52 edge
@@ -100,15 +101,19 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
 def _solve_floating(t: WeightedTetrahedron, start=None):
     """weiszfeld's loop on a tetrahedron already classified as floating: each
     step goes to the first x + f s, f in _TRIALS, on no vertex that lowers the
-    objective, else to the Weiszfeld average.  It runs on the vertices scaled by
-    2^-e, e the exponent of the largest edge, exact in the normal range the edge
-    bound keeps offsets and distances in, so the residual kernel's (w o)/d and
-    fsum(w d) 2^e are the caller's-scale floats, and every step (the seed, the
-    stop, the decimal finish, whose base-10 rounding sees the same floats)
-    commutes with scaling by a power of two.  A start point on no vertex
-    replaces the averages as the first point; the stop rules are the same from
-    any start, so it only saves passes: from the minimizer itself the first
-    Newton step ends the loop.
+    objective, else to the Weiszfeld average.  Where the float gradient's
+    rounding could move a step by more than the stop, the same loop body runs
+    again from where it ended, with exact: on _visit's decimal gradient,
+    without the certified stop or the Weiszfeld average, and a trial whose
+    change is positive but within its rounding counts as lowering it.  It
+    runs on the vertices scaled by 2^-e, e the exponent of the largest edge,
+    exact in the normal range the edge bound keeps offsets and distances in,
+    so the residual kernel's (w o)/d and fsum(w d) 2^e are the caller's-scale
+    floats, and every step (the seed, the stop, the decimal run, whose
+    base-10 rounding sees the same floats) commutes with scaling by a power
+    of two.  A start point on no vertex replaces the averages as the first
+    point; the stop rules are the same from any start, so it only saves
+    passes: from the minimizer itself the first Newton step ends the loop.
 
     It ends at the gated point, with NoConvergence above the residual threshold
     and CoincidentPoints on a vertex (see _residual), and returns that point at
@@ -150,8 +155,8 @@ def _solve_floating(t: WeightedTetrahedron, start=None):
     # _visit's gradient is off by at most 16 u sum(w), u = 2^-53 (see _visit),
     # and its Newton step by up to that over mu <= lambda_min(H).  Where that
     # exceeds stop (a heavy pair's unit vectors leave w_h u of rounding), no
-    # float step is certified, one within it ends the float loop untaken, and
-    # the decimal finish follows
+    # float step is certified, one within it ends the float run untaken, and
+    # the loop runs once more on the decimal gradient
     noise = 2.0**-49 * total_w
     # the certified stop's bound on |x + s - x*| (see _certified).  It can only
     # hold if pull n^2 <= cert sum(w) / sqrt(3): its L is at least
@@ -161,63 +166,49 @@ def _solve_floating(t: WeightedTetrahedron, start=None):
     cert = 2.0**-53 * edge
     cert_w = cert * total_w
     steps, prev = 0, x
-    while at is not None:
-        x, d, _, g, s, pull, mu = at
-        if steps == MAX_ITER:
-            break
-        px, py, pz = x
-        at = None
-        if s is not None:
-            sx, sy, sz = s
-            n = math.hypot(sx, sy, sz)
-            noisy = mu * stop < noise
-            if n < stop or not noisy and n * n * pull <= cert_w and _certified(w, d, n, mu * cert):
-                # prev is None after this closing step, which is s
-                prev, x = None, [px + sx, py + sy, pz + sz]
-                steps += 1
+    for exact in (False, True):
+        if exact:
+            # the heavy-pair finish, 2 to 5 steps at ratios 1e4 to 1e15: a step
+            # over stop goes to the first x + f s whose change is under
+            # 32 u sum(w) f |s| (above its rounding, see _visit), as one from
+            # up to half an edge out at 1e15 can land next to a heavy vertex
+            if not mu * stop < noise:
                 break
-            if noisy and n * mu <= noise:
+            at = _visit(w, verts, x, x, d, True)
+        while at is not None:
+            x, d, _, g, s, pull, mu = at
+            if steps == MAX_ITER:
                 break
-            for frac in _TRIALS:
-                at = _visit(w, verts, x, [px + frac * sx, py + frac * sy, pz + frac * sz], d)
-                if at is not None and at[2] < 0.0:
+            px, py, pz = x
+            at = None
+            if s is not None:
+                sx, sy, sz = s
+                n = math.hypot(sx, sy, sz)
+                noisy = mu * stop < noise
+                if n < stop or not (exact or noisy) and n * n * pull <= cert_w and _certified(w, d, n, mu * cert):
+                    # prev is None after this closing step, which is n long
+                    prev, x = None, [px + sx, py + sy, pz + sz]
+                    steps += 1
                     break
-                at = None
-        if at is None:
-            # the Weiszfeld average x - g / sum(w_i / d_i); one on a vertex, or
-            # at x itself, would only repeat this iteration
-            gx, gy, gz = g
-            trial = [px - gx / pull, py - gy / pull, pz - gz / pull]
-            if trial == x or (at := _visit(w, verts, x, trial, d)) is None:
-                break
-        prev = x
-        steps += 1
-    if mu * stop < noise:
-        # the heavy-pair finish: 2 to 5 Newton steps on the decimal gradient at
-        # ratios 1e4 to 1e15, until one is under stop; a longer one goes to the
-        # first x + f s, f in _TRIALS, whose change is under 32 u sum(w) f |s|
-        # (above its rounding, see _visit), as one from up to half an edge out
-        # at 1e15 can land next to a heavy vertex.  That pass is the next step's
-        at = _visit(w, verts, x, x, d, True)
-        while at is not None and at[4] is not None and steps < MAX_ITER:
-            x, d, _, _, s, _, _ = at
-            (px, py, pz), (sx, sy, sz) = x, s
-            n = math.hypot(sx, sy, sz)
-            if n < stop:
-                prev, x = None, [px + sx, py + sy, pz + sz]
-                steps += 1
-                break
-            for frac in _TRIALS:
-                at = _visit(w, verts, x, [px + frac * sx, py + frac * sy, pz + frac * sz], d, True)
-                if at is not None and at[2] <= 2.0 * noise * frac * n:
+                if noisy and not exact and n * mu <= noise:
                     break
-            else:
-                break
-            prev, x = x, at[0]
+                for frac in _TRIALS:
+                    at = _visit(w, verts, x, [px + frac * sx, py + frac * sy, pz + frac * sz], d, exact)
+                    if at is not None and (at[2] < 0.0 or exact and at[2] <= 2.0 * noise * frac * n):
+                        break
+                    at = None
+            if at is None:
+                # the Weiszfeld average x - g / sum(w_i / d_i); one on a
+                # vertex, or at x itself, would only repeat this iteration
+                gx, gy, gz = g
+                trial = [px - gx / pull, py - gy / pull, pz - gz / pull]
+                if exact or trial == x or (at := _visit(w, verts, x, trial, d)) is None:
+                    break
+            prev = x
             steps += 1
     residual, d = _residual(w, verts, x, edge)
     if residual > 1e-6 * total_w:
-        last = math.hypot(*s) if prev is None else math.dist(x, prev)
+        last = n if prev is None else math.dist(x, prev)
         raise NoConvergence(
             f"residual {_unscaled(residual, we, 'residual'):.3e} above threshold after "
             f"{steps} step(s), the last {last / scale:.3e} long"
@@ -298,9 +289,11 @@ def _visit(w, verts, x, trial, d, exact=False):
     D_i = d_i + td_i >= |t|, |2 v_i + t|, a term is off by at most w_i |t|
     times 6 u from 2 v_i + t (its rounding 2 u (2 d_i + |t|) <= 6 u D_i),
     4 u from t and the dot product, 4.5 u from D_i and 2 u from weight and
-    quotient, and the sum of four adds 3 u sum(w) |t|.  With exact, g is
-    instead _gradient_wide rounded to floats, and the step its Newton step.  The four vertices are written out;
-    each sum runs in vertex order, the signed ones from 0.0."""
+    quotient, and the sum of four adds 3 u sum(w) |t|.  With exact (where H
+    is regular), g is instead _gradient_wide, within u^2 sum(w) / 2, rounded
+    to floats, and the step is its Newton step; the change, H, pull and mu
+    are the same floats either way.  The four vertices are written out; each
+    sum runs in vertex order, the signed ones from 0.0."""
     w0, w1, w2, w3 = w
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = verts
     d0, d1, d2, d3 = d

@@ -1,5 +1,6 @@
 """The general path's floats, pinned: a digest of the reprs of classify,
-weiszfeld, stretch and verify_invariance on seeded draws.
+weiszfeld, stretch and verify_invariance on seeded draws, and a second one
+on heavy weight pairs, where the solver ends on the decimal gradient.
 
 A change that is meant to keep every answer (a faster constructor, kernel
 or re-solve) must keep this digest.  The draws use only the random module,
@@ -9,18 +10,33 @@ versions.  The module needs neither numpy nor pytest, so the digest can be
 checked on any supported Python:
 
     PYTHONPATH=src:tests python -c "import test_general_floats as m; print(m.digest())"
+    PYTHONPATH=src:tests python -c "import test_general_floats as m; print(m.digest(m.heavy_answers()))"
 """
 
 import hashlib
 import math
 import random
 
-from ftsolve import PlasticityInstance, WeightedTetrahedron, classify, stretch, verify_invariance, weiszfeld
+from ftsolve import (
+    PlasticityInstance,
+    SymmetricInstance,
+    WeightedTetrahedron,
+    classify,
+    solve_symmetric,
+    stretch,
+    verify_invariance,
+    weiszfeld,
+)
+from ftsolve import numeric
 
 # the digest of the answers before the ray-stretch re-solve was made cheaper;
 # identical on CPython 3.10, 3.11, 3.12 and 3.13
 DIGEST = "a9aa059bccfe73ebcf18620975020333285e04f6193e6d2e35b8728c4111dabe"
 JITTERED, RAY_STRETCH = 400, 200
+# the heavy-pair answers when the decimal finish was a loop of its own, and
+# its passes over those draws: _visit and _gradient_wide calls (CPython 3.11)
+HEAVY_DIGEST = "4fa2ef53238a423bc2525ccf3551bf4ca3c74089ec2c6013962a83869bc8dfb9"
+HEAVY, HEAVY_VISITS, HEAVY_WIDES = 600, 5967, 2309
 REGULAR = (
     (-0.5, 0.0, math.sqrt(2.0) / 4.0),
     (0.5, 0.0, math.sqrt(2.0) / 4.0),
@@ -100,12 +116,82 @@ def answers():
         yield " ".join([_answer(classify, t), _answer(weiszfeld, t), _answer(stretch, p), _answer(verify_invariance, p)])
 
 
-def digest() -> str:
+def heavy_draws():
+    """Regular two-pair tetrahedra, edge log-uniform on [1e-3, 1e3], the
+    heavy pair 1e1 to 1e15 times the light one (log-uniform, the light
+    weight log-uniform on [0.5, 2]), heavy first and light first in turn;
+    each with stretch factors log-uniform on [0.5, 3].  Last, a draw at
+    1e15 whose cold stretched solve halves a decimal step, which about one
+    draw in 3,000 of the others does."""
+    rng = random.Random(15)
+    for i in range(HEAVY):
+        a = _log_uniform(rng, 1e-3, 1e3)
+        light = _log_uniform(rng, 0.5, 2.0)
+        heavy = light * _log_uniform(rng, 1e1, 1e15)
+        b1, b4 = (heavy, light) if i % 2 == 0 else (light, heavy)
+        lambdas = [_log_uniform(rng, 0.5, 3.0) for _ in range(4)]
+        yield SymmetricInstance(a, b1, b4), lambdas
+    lambdas = [0.6089303587970475, 2.6876941867511515, 0.5446830649554133, 2.5277840831427043]
+    yield SymmetricInstance(1.0, 1e15, 1.0), lambdas
+
+
+def heavy_answers():
+    """One line per heavy draw: the reprs of its cold weiszfeld, of
+    verify_invariance from the closed-form point, and of a cold weiszfeld
+    of the stretched tetrahedron."""
+    for inst, lambdas in heavy_draws():
+        t = inst.tetrahedron()
+        p = PlasticityInstance(t, solve_symmetric(inst).point, lambdas)
+        cold = _answer(lambda: weiszfeld(stretch(p)))
+        yield " ".join([_answer(weiszfeld, t), _answer(verify_invariance, p), cold])
+
+
+def heavy_passes():
+    """The heavy draws' answers with the solver's passes counted: the
+    number of draws, of draws on which the decimal gradient ran, of _visit
+    calls and of _gradient_wide calls.  The two are rebound on the numeric
+    module for the count and restored after it."""
+    visit, wide = numeric._visit, numeric._gradient_wide
+    calls = {visit: 0, wide: 0}
+
+    def counted(f):
+        def call(*args):
+            calls[f] += 1
+            return f(*args)
+
+        return call
+
+    numeric._visit, numeric._gradient_wide = counted(visit), counted(wide)
+    try:
+        draws = wided = before = 0
+        for _ in heavy_answers():
+            draws += 1
+            wided += calls[wide] > before
+            before = calls[wide]
+        return draws, wided, calls[visit], calls[wide]
+    finally:
+        numeric._visit, numeric._gradient_wide = visit, wide
+
+
+def digest(lines=None) -> str:
+    """The sha256 of the lines, one per draw, answers() by default."""
     h = hashlib.sha256()
-    for line in answers():
+    for line in answers() if lines is None else lines:
         h.update(line.encode() + b"\n")
     return h.hexdigest()
 
 
 def test_general_path_floats_are_pinned():
     assert digest() == DIGEST
+
+
+def test_heavy_pair_floats_are_pinned():
+    assert digest(heavy_answers()) == HEAVY_DIGEST
+
+
+def test_heavy_pair_passes_within_budget():
+    # the decimal gradient runs on most draws, and neither kind of pass is
+    # made more often than when the decimal finish was a loop of its own
+    draws, wided, visits, wides = heavy_passes()
+    assert wided > draws // 2
+    assert visits <= HEAVY_VISITS and wides <= HEAVY_WIDES

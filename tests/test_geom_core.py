@@ -144,6 +144,14 @@ def test_axial_distances_values():
     assert a01 == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_axial_distances_refuse_a_non_finite_y(y):
+    # they returned (nan, nan) at nan and (inf, inf) at either infinity
+    with pytest.raises(ValueError) as err:
+        axial_distances(1.0, y)
+    assert str(err.value) == f"the axial coordinate must be finite, got {y}"
+
+
 def test_axial_distances_match_embedding():
     rng = np.random.default_rng(42)
     for a in (0.3, 1.0, 5.0):

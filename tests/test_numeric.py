@@ -126,6 +126,15 @@ def test_reduced_objective_rejects_bad_sign():
 
 
 @pytest.mark.parametrize("sign4", [1, -1])
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_reduced_objective_refuses_a_non_finite_y(y, sign4):
+    # each raised FtSolveError("the objective exceeds the float range"), as
+    # where a finite y's objective overflows
+    with pytest.raises(ValueError, match="^the axial coordinate must be finite"):
+        reduced_objective(REF, y, sign4)
+
+
+@pytest.mark.parametrize("sign4", [1, -1])
 def test_reduced_objective_out_of_float_range_is_a_solver_error(sign4):
     # it returned inf where solve_symmetric raises
     inst = SymmetricInstance(4.034765434510795e118, 5.477970488350911e207, 6.52484807605555)
@@ -346,10 +355,10 @@ def test_newton_step_onto_a_vertex_falls_back(monkeypatch):
     visit = numeric._visit
     calls = []
 
-    def onto_first_vertex(w, verts, x, trial, d):
+    def onto_first_vertex(w, verts, x, trial, d, exact=False):
         # the pass at the start point proposes the first Newton step, here
         # the step from the start point onto A1
-        at = visit(w, verts, x, trial, d)
+        at = visit(w, verts, x, trial, d, exact)
         calls.append((list(trial), at))
         if len(calls) == 1:
             trial, td, change, g, s, pull, mu = at
