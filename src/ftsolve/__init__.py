@@ -13,10 +13,14 @@ only some modules (the CLI, for one) imports them directly.
 
 __version__ = "0.1.0"
 
-_EXPORTS = {  # public name -> submodule
+_EXPORTS = {  # the one list of public names, each -> its submodule
     name: module
     for module, names in (
-        ("analytic", "QuarticCoefficients complementary_axial ft_axial quartic_coefficients solve_symmetric"),
+        (
+            "analytic",
+            "QuarticCoefficients complementary_axial ft_axial quartic_coefficients solve_symmetric "
+            "stationarity_defect",
+        ),
         ("angles", "AngleSet angles_at"),
         ("equilibrium", "CaseLabel classify equilibrium_residual"),
         (
@@ -25,7 +29,7 @@ _EXPORTS = {  # public name -> submodule
             "FtSolveError NoConvergence NonPositiveEdge OutOfDomain",
         ),
         ("geom_core", "FtSolution SymmetricInstance WeightedTetrahedron axial_distances embed_regular objective"),
-        ("numeric", "minimize_reduced reduced_objective stationarity_defect weiszfeld"),
+        ("numeric", "minimize_reduced reduced_objective weiszfeld"),
         (
             "plasticity",
             "DihedralData PlasticityInstance dihedral_alpha dihedral_angle height_012 "

@@ -15,24 +15,18 @@ real quadratics over sqrt(t); the one with real roots gives both axial
 roots, y = (sqrt(t) -+ sqrt(R))/2.  Each difference in that formula is
 rewritten as a quotient (X - 1, R, and the interior root), so the
 radicals are full precision on their own, with no Newton polish, for every
-weight ratio; tests/test_symbolic.py proves each rewrite.  Everything here
-is scalar arithmetic on the axis.
+weight ratio; tests/test_symbolic.py proves each rewrite.  The signed-weight
+stationarity defect, the slope of b1*a01(y) - b4*a04(y), checks the exterior
+root.  Everything here is scalar arithmetic on the axis.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import EqualWeights, FtSolveError
-from .geom_core import SQRT2, FtSolution, SymmetricInstance, _axial_slope, _keep_roots, _Record
+from .errors import EqualWeights, FtSolveError, OutOfDomain
+from .geom_core import SQRT2, FtSolution, SymmetricInstance, _axial_slope, _keep_roots, _Record, _unscaled
 
-__all__ = [
-    "QuarticCoefficients",
-    "quartic_coefficients",
-    "ft_axial",
-    "complementary_axial",
-    "solve_symmetric",
-]
 
 class QuarticCoefficients(_Record):
     """c4*y^4 + c3*y^3 + c2*y^2 + c1*y + c0."""
@@ -132,6 +126,23 @@ def complementary_axial(inst: SymmetricInstance) -> float:
     if not math.isfinite(roots[1]):
         raise FtSolveError(f"the exterior critical point exceeds the float range at a = {inst.a}")
     return roots[1]
+
+
+def stationarity_defect(inst: SymmetricInstance, y: float) -> float:
+    """Slope of b1*a01(y) - b4*a04(y); negative near y = c+, positive for
+    large y when b1 > b4, and zero at the signed-weight critical point.  The
+    heavier weight is scaled into [0.5, 1) by a power of two, as for the
+    axial roots, so b4 c y cannot overflow; FtSolveError if the slope does.
+    As angles_at, ValueError unless y is finite, and OutOfDomain where y / a
+    overflows."""
+    if not math.isfinite(y):
+        raise ValueError(f"the axial coordinate must be finite, got {y}")
+    ya = y / inst.a
+    if math.isinf(ya):
+        raise OutOfDomain(f"the axial point y = {y} is more than 2^1024 edge lengths away")
+    _, e = math.frexp(max(inst.b1, inst.b4))
+    slope = _axial_slope(math.ldexp(inst.b1, -e), math.ldexp(inst.b4, -e), ya, -1)
+    return _unscaled(slope, e, "stationarity defect")
 
 
 def solve_symmetric(inst: SymmetricInstance) -> FtSolution:

@@ -23,8 +23,6 @@ import math
 from .errors import OutOfDomain
 from .geom_core import SQRT2, _edge, _Record
 
-__all__ = ["AngleSet", "angles_at"]
-
 
 class AngleSet(_Record):
     """The three distinct vertex angles, in radians: under edge A1A2 (the b1

@@ -11,10 +11,11 @@ the file, prints, and sets the exit code: 0 success, 1 input error or a
 reader that closed stdout, 2 solver failure.
 
 A process loads only what its subcommand runs: the closed forms in analytic
-at start-up, and numeric, equilibrium, angles and plasticity inside the
-subcommands that call them.  sweep solves each row's roots once and writes
-its rows SWEEP_BLOCK lines at a time, so a long table costs few writes even
-with unbuffered output; rows already made are written before an error.
+at start-up, and equilibrium, angles and plasticity inside the subcommands
+that call them; only the general solve and plasticity load numeric.  sweep
+solves each row's roots once and writes its rows SWEEP_BLOCK lines at a time,
+so a long table costs few writes even with unbuffered output; rows already
+made are written before an error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import sys
 
 from . import __version__
-from .analytic import complementary_axial, ft_axial, quartic_coefficients, solve_symmetric
+from .analytic import complementary_axial, ft_axial, quartic_coefficients, solve_symmetric, stationarity_defect
 from .errors import FtSolveError
 from .geom_core import SymmetricInstance, WeightedTetrahedron
 
@@ -142,8 +143,6 @@ def cmd_angles(inst, args) -> dict:
 
 
 def cmd_complementary(inst, args) -> dict:
-    from .numeric import stationarity_defect
-
     require_symmetric(inst)
     yp = complementary_axial(inst)
     return {"y_complementary": yp, "stationarity_defect": stationarity_defect(inst, yp)}

@@ -17,8 +17,6 @@ import math
 from .errors import CoincidentPoints, FtSolveError
 from .geom_core import _MIN_NORMAL, WeightedTetrahedron, _length, _point, _Record, _unscaled
 
-__all__ = ["CaseLabel", "classify", "equilibrium_residual"]
-
 
 class CaseLabel(_Record):
     """Classification outcome: the 0-based absorbed vertex (None if

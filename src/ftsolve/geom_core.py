@@ -16,15 +16,6 @@ import math
 
 from .errors import DegenerateTetrahedron, FtSolveError, NonPositiveEdge, OutOfDomain
 
-__all__ = [
-    "WeightedTetrahedron",
-    "SymmetricInstance",
-    "FtSolution",
-    "objective",
-    "embed_regular",
-    "axial_distances",
-]
-
 COPLANARITY_RTOL = 1e-12
 SQRT2 = math.sqrt(2.0)
 _MIN_NORMAL = 2.0**-1022

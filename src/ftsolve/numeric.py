@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .equilibrium import _residual, classify
-from .errors import FtSolveError, NoConvergence, OutOfDomain
+from .errors import FtSolveError, NoConvergence
 from .geom_core import (
     SQRT2,
     FtSolution,
@@ -21,13 +21,6 @@ from .geom_core import (
     _unscaled,
     axial_distances,
 )
-
-__all__ = [
-    "weiszfeld",
-    "reduced_objective",
-    "minimize_reduced",
-    "stationarity_defect",
-]
 
 # step cap of the general solver (on the general benchmark's inputs, seeds
 # 11-13, weiszfeld took at most 12 steps, and verify_invariance's re-solves
@@ -408,20 +401,3 @@ def minimize_reduced(inst: SymmetricInstance) -> float:
             lo = mid
         mid = 0.5 * (lo + hi)
     return inst.a * mid
-
-
-def stationarity_defect(inst: SymmetricInstance, y: float) -> float:
-    """Slope of b1*a01(y) - b4*a04(y); negative near y = c+, positive for
-    large y when b1 > b4, and zero at the signed-weight critical point.  The
-    heavier weight is scaled into [0.5, 1) by a power of two, as for the
-    axial roots, so b4 c y cannot overflow; FtSolveError if the slope does.
-    As angles_at, ValueError unless y is finite, and OutOfDomain where y / a
-    overflows."""
-    if not math.isfinite(y):
-        raise ValueError(f"the axial coordinate must be finite, got {y}")
-    ya = y / inst.a
-    if math.isinf(ya):
-        raise OutOfDomain(f"the axial point y = {y} is more than 2^1024 edge lengths away")
-    _, e = math.frexp(max(inst.b1, inst.b4))
-    slope = _axial_slope(math.ldexp(inst.b1, -e), math.ldexp(inst.b4, -e), ya, -1)
-    return _unscaled(slope, e, "stationarity defect")

@@ -18,19 +18,6 @@ from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
 from .geom_core import WeightedTetrahedron, _length, _offsets, _point, _positive, _Record
 from .numeric import _solve_floating
 
-__all__ = [
-    "PlasticityInstance",
-    "DihedralData",
-    "height_012",
-    "dihedral_alpha",
-    "predict_a04p",
-    "stretch",
-    "verify_invariance",
-    "measure_dihedral_data",
-    "dihedral_angle",
-    "vertex_angle",
-]
-
 CLAMP_SLACK = 1e-9
 
 

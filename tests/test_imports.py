@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # prints the ftsolve modules and the stdlib modules of interest that the
@@ -42,27 +44,47 @@ def test_import_ftsolve_loads_no_submodule():
     assert fresh("import ftsolve")["ftsolve"] == ["ftsolve"]
 
 
+SYMMETRIC = {"mode": "symmetric-regular", "a": 1.0, "b1": 2.5, "b4": 1.0}
+GENERAL = {"mode": "general", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "weights": [1.1, 0.7, 2.0, 1.3]}
+CLOSED_FORMS = ["cli", "analytic", "geom_core", "errors"]
+
+
 def test_import_cli_loads_only_the_closed_forms():
     out = fresh("import ftsolve.cli")
-    assert out["ftsolve"] == sorted(
-        ["ftsolve", "ftsolve.cli", "ftsolve.errors", "ftsolve.geom_core", "ftsolve.analytic"]
-    )
+    assert out["ftsolve"] == sorted(["ftsolve"] + [f"ftsolve.{m}" for m in CLOSED_FORMS])
     assert out["stdlib"] == []
 
 
-def test_symmetric_solve_loads_no_numeric_or_plasticity(tmp_path):
+# (instance, subcommand and options, the modules it loads beyond the CLI's)
+SUBCOMMANDS = [
+    (SYMMETRIC, ["solve"], []),
+    (SYMMETRIC, ["quartic"], []),
+    (SYMMETRIC, ["complementary"], []),
+    (SYMMETRIC, ["classify"], ["equilibrium"]),
+    (SYMMETRIC, ["angles"], ["angles"]),
+    (SYMMETRIC, ["sweep", "--ratio-min", "0.5", "--ratio-max", "2", "--steps", "5"], ["angles"]),
+    (SYMMETRIC, ["plasticity", "--lambda", "1,1,2,2"], ["equilibrium", "numeric", "plasticity"]),
+    (GENERAL, ["solve"], ["equilibrium", "numeric"]),
+    (GENERAL, ["classify"], ["equilibrium"]),
+]
+
+
+@pytest.mark.parametrize(
+    "instance, argv, modules", SUBCOMMANDS, ids=[f"{i['mode'].split('-')[0]}-{a[0]}" for i, a, _ in SUBCOMMANDS]
+)
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, instance, argv, modules):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps({"mode": "symmetric-regular", "a": 1.0, "b1": 2.5, "b4": 1.0}))
+    path.write_text(json.dumps(instance))
     body = f"""
 import contextlib, io
 from ftsolve.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    extra = main(["solve", "--input", {str(path)!r}])
+    extra = main({argv[:1] + ["--input", str(path)] + argv[1:]!r})
 """
     out = fresh(body)
     assert out["extra"] == 0
-    assert "ftsolve.numeric" not in out["ftsolve"]
-    assert "ftsolve.plasticity" not in out["ftsolve"]
+    assert out["ftsolve"] == sorted(["ftsolve"] + [f"ftsolve.{m}" for m in CLOSED_FORMS + modules])
+    assert "decimal" not in out["stdlib"]
 
 
 def test_only_the_heavy_pair_finish_loads_decimal():
@@ -119,23 +141,24 @@ extra = [sorted(k for k in ns if not k.startswith("__")), sorted(ftsolve.__all__
     assert unknown == "module 'ftsolve' has no attribute 'no_such_name'"
 
 
-
 def test_export_table_matches_the_submodules():
-    # the package's table repeats, name for name, the __all__ of each
-    # submodule but cli and the FtSolveError subclasses in errors (which has
-    # no __all__)
+    # the package's table is the one list of public names: it lists, name
+    # for name, the functions and classes each submodule but cli defines
+    # without a leading underscore
     body = """
-import importlib, pkgutil, ftsolve
-from ftsolve import errors
+import importlib, inspect, pkgutil, ftsolve
 table = {}
 for name, module in ftsolve._EXPORTS.items():
     table.setdefault(module, []).append(name)
-modules = {m.name for m in pkgutil.iter_modules(ftsolve.__path__)} - {"cli", "errors", "__main__"}
-listed = {m: sorted(importlib.import_module("ftsolve." + m).__all__) for m in modules}
-listed["errors"] = sorted(
-    k for k, v in vars(errors).items() if isinstance(v, type) and issubclass(v, errors.FtSolveError)
-)
-extra = [{m: sorted(names) for m, names in table.items()}, listed]
+defined = {}
+for m in {m.name for m in pkgutil.iter_modules(ftsolve.__path__)} - {"cli", "__main__"}:
+    mod = importlib.import_module("ftsolve." + m)
+    defined[m] = sorted(
+        k
+        for k, v in vars(mod).items()
+        if (inspect.isfunction(v) or inspect.isclass(v)) and v.__module__ == mod.__name__ and not k.startswith("_")
+    )
+extra = [{m: sorted(names) for m, names in table.items()}, defined]
 """
-    table, listed = fresh(body)["extra"]
-    assert table == listed
+    table, defined = fresh(body)["extra"]
+    assert table == defined

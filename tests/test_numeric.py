@@ -23,7 +23,7 @@ from ftsolve import (
     solve_symmetric,
     weiszfeld,
 )
-from ftsolve import numeric
+from ftsolve import analytic, numeric
 
 REF = SymmetricInstance(a=1.0, b1=2.5, b4=1.0)
 Y_REF = 0.1983575549931425
@@ -425,7 +425,7 @@ def test_stationarity_defect_is_relative_to_the_weight_difference(k, a, heavy, s
     ratio = 1.0 + 10.0**-k
     b1, b4 = (ratio * scale, scale) if heavy == "b1" else (scale, ratio * scale)
     inst = SymmetricInstance(a=a, b1=b1, b4=b4)
-    defect = numeric.stationarity_defect(inst, complementary_axial(inst))
+    defect = analytic.stationarity_defect(inst, complementary_axial(inst))
     assert abs(defect) <= 1e-15 * abs(b1 - b4)
 
 
@@ -442,13 +442,13 @@ def test_stationarity_defect_beyond_the_float_range_is_a_solver_error():
     # -(b1 + b4) / sqrt(3) at the midpoint; it read -inf
     inst = SymmetricInstance(a=1.0, b1=1.7e308, b4=1.7e308)
     with pytest.raises(FtSolveError, match="^the stationarity defect exceeds the float range$"):
-        numeric.stationarity_defect(inst, 0.0)
+        analytic.stationarity_defect(inst, 0.0)
 
 
 def test_stationarity_defect_at_the_midpoint():
     # the rationalized form of the signed slope is 0/0 at y = 0; there the
     # slope is -(b1 + b4) c / a01 = -(b1 + b4) / sqrt(3)
-    defect = numeric.stationarity_defect(REF, 0.0)
+    defect = analytic.stationarity_defect(REF, 0.0)
     assert defect == pytest.approx(-(REF.b1 + REF.b4) / math.sqrt(3), rel=1e-15)
 
 
@@ -456,14 +456,14 @@ def test_stationarity_defect_at_the_midpoint():
 def test_stationarity_defect_refuses_a_non_finite_y(y):
     # it returned nan, where angles_at refuses y and reduced_objective raises
     with pytest.raises(ValueError, match="^the axial coordinate must be finite"):
-        numeric.stationarity_defect(SymmetricInstance(1.0, 2.0, 1.0), y)
+        analytic.stationarity_defect(SymmetricInstance(1.0, 2.0, 1.0), y)
 
 
 @pytest.mark.parametrize("y", [1e308, -1e308])
 def test_stationarity_defect_refuses_y_beyond_2_to_the_1024_edges(y):
     # y / a overflowed and the slope read nan; angles_at refuses it the same way
     with pytest.raises(OutOfDomain, match="^the axial point y = .* edge lengths away$"):
-        numeric.stationarity_defect(SymmetricInstance(1e-10, 2.0, 1.0), y)
+        analytic.stationarity_defect(SymmetricInstance(1e-10, 2.0, 1.0), y)
 
 
 @pytest.mark.parametrize("w0", [(1.1, 0.7, 2.0, 1.3), (5.0, 1.0, 1.0, 1.0)], ids=["floating", "absorbed"])
