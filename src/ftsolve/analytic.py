@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .errors import EqualWeights, FtSolveError, OutOfDomain
-from .geom_core import SQRT2, FtSolution, SymmetricInstance, _axial_slope, _keep_roots, _Record, _unscaled
+from .geom_core import _MIN_NORMAL, SQRT2, FtSolution, SymmetricInstance, _axial_slope, _keep_roots, _Record, _unscaled
 
 
 class QuarticCoefficients(_Record):
@@ -43,7 +43,7 @@ def quartic_coefficients(inst: SymmetricInstance) -> QuarticCoefficients:
 
     Degenerates to linear (c4 = c0 = 0, forced root y = 0) when b1 = b4.
     b1^2 - b4^2 is kept factored: expanded, it cancels near b1 = b4.
-    Raises FtSolveError when a coefficient does not fit in a float.
+    Raises FtSolveError unless each coefficient not forced to 0 is a normal float.
     """
     a, b1, b4 = inst.a, inst.b1, inst.b4
     d = (b1 - b4) * (b1 + b4)
@@ -58,7 +58,8 @@ def quartic_coefficients(inst: SymmetricInstance) -> QuarticCoefficients:
         c1=-8.0 * SQRT2 * a3 * (b1 * b1 + b4 * b4),
         c0=3.0 * a4 * d,
     )
-    if not all(map(math.isfinite, (q.c4, q.c1, q.c0))):
+    nonzero = (q.c4, q.c1, q.c0) if b1 != b4 else (q.c1,)
+    if not all(_MIN_NORMAL <= abs(c) < math.inf for c in nonzero):  # and not nan
         raise FtSolveError(
             f"quartic coefficients are not representable as floats: "
             f"c4={q.c4}, c1={q.c1}, c0={q.c0}"

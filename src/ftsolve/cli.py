@@ -7,8 +7,9 @@ lines and CSV cells print floats with 9 significant digits, except the rows
 of plasticity's stretched_vertices, which print as lists at full precision.
 
 Each cmd_* computes its payload from the loaded instance; main alone loads
-the file, prints, and sets the exit code: 0 success, 1 input error or a
-reader that closed stdout, 2 solver failure.
+the file, checks the instance's mode against COMMANDS, prints, and sets the
+exit code: 0 success, 1 input error or a reader that closed stdout, 2 solver
+failure.
 
 A process loads only what its subcommand runs: the closed forms in analytic
 at start-up, and equilibrium, angles and plasticity inside the subcommands
@@ -82,11 +83,6 @@ def _numbers(x, depth: int):
     return x
 
 
-def require_symmetric(inst) -> None:
-    if not isinstance(inst, SymmetricInstance):
-        raise InputError("this subcommand requires a symmetric-regular instance")
-
-
 def emit(payload: dict, as_json: bool):
     """Print the entries of payload that are not None."""
     payload = {k: v for k, v in payload.items() if v is not None}
@@ -128,7 +124,6 @@ def cmd_classify(inst, args) -> dict:
 def cmd_angles(inst, args) -> dict:
     from .angles import angles_at
 
-    require_symmetric(inst)
     y = ft_axial(inst)
     aset = angles_at(inst.a, y)
     return {
@@ -143,13 +138,11 @@ def cmd_angles(inst, args) -> dict:
 
 
 def cmd_complementary(inst, args) -> dict:
-    require_symmetric(inst)
     yp = complementary_axial(inst)
     return {"y_complementary": yp, "stationarity_defect": stationarity_defect(inst, yp)}
 
 
 def cmd_quartic(inst, args) -> dict:
-    require_symmetric(inst)
     q = quartic_coefficients(inst)
     if inst.b1 == inst.b4:
         # the quartic is linear, c1*y = 0
@@ -169,7 +162,6 @@ def cmd_plasticity(inst, args) -> dict:
     from .plasticity import PlasticityInstance, dihedral_alpha, height_012, measure_dihedral_data
     from .plasticity import predict_a04p, stretch, verify_invariance
 
-    require_symmetric(inst)
     sol = solve_symmetric(inst)
     tet = inst.tetrahedron()
     try:
@@ -189,7 +181,6 @@ def cmd_plasticity(inst, args) -> dict:
 def cmd_sweep(inst, args) -> None:
     from .angles import angles_at
 
-    require_symmetric(inst)
     if args.steps < 1:
         raise InputError("--steps must be at least 1")
     if not 0 < args.ratio_min <= args.ratio_max < math.inf:
@@ -223,15 +214,15 @@ def _ratios(start: float, stop: float, steps: int):
     yield stop if steps > 1 else start
 
 
-# (name, function, help); sweep always writes CSV, so it takes no --json
+# (name, function, symmetric-regular only, help); sweep writes CSV, no --json
 COMMANDS = (
-    ("solve", cmd_solve, "solve for the weighted minimizer"),
-    ("classify", cmd_classify, "floating/absorbed classification"),
-    ("angles", cmd_angles, "vertex angles at the minimizer"),
-    ("complementary", cmd_complementary, "signed-weight exterior critical point"),
-    ("quartic", cmd_quartic, "stationarity quartic and its real roots"),
-    ("plasticity", cmd_plasticity, "ray-stretch construction and invariance"),
-    ("sweep", cmd_sweep, "CSV table over a range of weight ratios"),
+    ("solve", cmd_solve, False, "solve for the weighted minimizer"),
+    ("classify", cmd_classify, False, "floating/absorbed classification"),
+    ("angles", cmd_angles, True, "vertex angles at the minimizer"),
+    ("complementary", cmd_complementary, True, "signed-weight exterior critical point"),
+    ("quartic", cmd_quartic, True, "stationarity quartic and its real roots"),
+    ("plasticity", cmd_plasticity, True, "ray-stretch construction and invariance"),
+    ("sweep", cmd_sweep, True, "CSV table over a range of weight ratios"),
 )
 
 
@@ -242,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, summary in COMMANDS:
+    for name, func, symmetric_only, summary in COMMANDS:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, help="instance file (JSON)")
         if func is not cmd_sweep:
             p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, symmetric_only=symmetric_only)
     lam_help = "four comma-separated stretch factors l1,l2,l3,l4"
     sub.choices["plasticity"].add_argument("--lambda", dest="lam", required=True, help=lam_help)
     for option, kind in (("--ratio-min", float), ("--ratio-max", float), ("--steps", int)):
@@ -258,7 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = args.func(load_instance(args.input), args)
+        inst = load_instance(args.input)
+        if args.symmetric_only and not isinstance(inst, SymmetricInstance):
+            raise InputError("this subcommand requires a symmetric-regular instance")
+        payload = args.func(inst, args)
         if payload is not None:
             emit(payload, args.json)
         sys.stdout.flush()  # so a closed reader shows here, not at exit

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import CoincidentPoints, FtSolveError
-from .geom_core import _MIN_NORMAL, WeightedTetrahedron, _length, _point, _Record, _unscaled
+from .geom_core import WeightedTetrahedron, _length, _point, _Record, _unscaled
 
 
 class CaseLabel(_Record):
@@ -40,7 +40,10 @@ class CaseLabel(_Record):
 
 
 def classify(t: WeightedTetrahedron) -> CaseLabel:
-    """Classify the minimizer as floating or absorbed at some vertex."""
+    """Classify the minimizer as floating or absorbed at some vertex.  From
+    heavy/light weight ratios of about 4e15 (2^52) on, a heavy vertex's margin
+    (about the light weight) is below its pull's rounding (about u times the
+    heavy one) and may read 0.0: absorbed, though the minimizer floats."""
     vertex, m0, m1, m2, m3 = _margins(t)
     e, ldexp = t._units[1], math.ldexp
     try:
@@ -92,8 +95,7 @@ def _residual(w, verts, x, edge: float):
     """equilibrium_residual at the weights w scaled by 2^-e (see classify), and
     the distances |x - A_i| to the vertices verts, in the frame of x, verts and
     the largest edge; CoincidentPoints within 1e-12 edge.  Each distance is
-    _length's: the square root of the sum of squares, taken inline while all
-    four sums are normal, and by _length itself otherwise."""
+    _length's."""
     w0, w1, w2, w3 = w
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = verts
     px, py, pz = x
@@ -101,17 +103,8 @@ def _residual(w, verts, x, edge: float):
     ox1, oy1, oz1 = px - x1, py - y1, pz - z1
     ox2, oy2, oz2 = px - x2, py - y2, pz - z2
     ox3, oy3, oz3 = px - x3, py - y3, pz - z3
-    s0 = ox0 * ox0 + oy0 * oy0 + oz0 * oz0
-    s1 = ox1 * ox1 + oy1 * oy1 + oz1 * oz1
-    s2 = ox2 * ox2 + oy2 * oy2 + oz2 * oz2
-    s3 = ox3 * ox3 + oy3 * oy3 + oz3 * oz3
-    lo, hi = _MIN_NORMAL, math.inf
-    if lo <= s0 < hi and lo <= s1 < hi and lo <= s2 < hi and lo <= s3 < hi:
-        sqrt = math.sqrt
-        d0, d1, d2, d3 = sqrt(s0), sqrt(s1), sqrt(s2), sqrt(s3)
-    else:
-        d0, d1 = _length(ox0, oy0, oz0), _length(ox1, oy1, oz1)
-        d2, d3 = _length(ox2, oy2, oz2), _length(ox3, oy3, oz3)
+    d0, d1 = _length(ox0, oy0, oz0), _length(ox1, oy1, oz1)
+    d2, d3 = _length(ox2, oy2, oz2), _length(ox3, oy3, oz3)
     if min(d0, d1, d2, d3) <= 1e-12 * edge:
         raise CoincidentPoints("x coincides with a vertex; residual undefined")
     rx = w0 * ox0 / d0 + w1 * ox1 / d1 + w2 * ox2 / d2 + w3 * ox3 / d3

@@ -53,6 +53,8 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     runs once more on a decimal gradient, whose rounding is under
     u^2 sum(w), up to weight ratios of 1e15; it halves steps as the float
     run does, but has neither the certified stop nor the Weiszfeld step.
+    From ratios of about 4e15 on, classify may read a floating heavy pair as
+    absorbed (see there), and the answer is then the heavy vertex.
     Solved cold, from the minimizer and from 0.1 and 2 edges off it,
     stretched two-pair tetrahedra (weights log-uniform in [0.2, 5], stretch
     factors in [0.5, 3]; 1,500 draws) gave answers up to 9.7 * 2^-52 edge

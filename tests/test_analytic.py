@@ -103,10 +103,20 @@ def test_complementary_grows_as_weights_equalize():
     assert values[0] < values[1] < values[2]
 
 
-@pytest.mark.parametrize("a, b1", [(1e200, 2.5), (1.0, 1e200)])
-def test_quartic_coefficients_out_of_float_range(a, b1):
+@pytest.mark.parametrize(
+    "a, b1, b4",
+    [
+        pytest.param(1e200, 2.5, 1.0, id="1e+200-2.5"),  # the ids they had with b4 fixed at 1
+        pytest.param(1.0, 1e200, 1.0, id="1.0-1e+200"),
+        (1e-100, 2.5, 1.0),  # c0 underflows to 0.0
+        (1e-80, 2.5, 1.0),  # c0 subnormal
+        (1e-250, 2.5, 1.0),  # c1 underflows to -0.0
+        (1.0, 2e-160, 1e-160),  # all three subnormal
+    ],
+)
+def test_quartic_coefficients_out_of_float_range(a, b1, b4):
     with pytest.raises(FtSolveError, match="c4=.*c1=.*c0="):
-        quartic_coefficients(SymmetricInstance(a=a, b1=b1, b4=1.0))
+        quartic_coefficients(SymmetricInstance(a=a, b1=b1, b4=b4))
 
 
 def test_solve_symmetric_reference():

@@ -242,11 +242,22 @@ def test_plasticity_at_large_weight_ratios(capsys, symmetric_file, a, b1, b4, la
     assert abs(json.loads(out)["displacement"]) <= 1e-9 * a
 
 
-@pytest.mark.parametrize("a, b1", [(1e200, 2.5), (1.0, 1e200)])
-def test_quartic_coefficients_out_of_float_range(capsys, symmetric_file, a, b1):
-    # a**3 raised a bare OverflowError at a = 1e200, and b1 = 1e200 printed
-    # infinite coefficients with exit 0
-    path = symmetric_file(a=a, b1=b1, b4=1.0)
+@pytest.mark.parametrize(
+    "a, b1, b4",
+    [
+        pytest.param(1e200, 2.5, 1.0, id="1e+200-2.5"),  # the ids they had with b4 fixed at 1
+        pytest.param(1.0, 1e200, 1.0, id="1.0-1e+200"),
+        (1e-100, 2.5, 1.0),  # c0 underflows to 0.0
+        (1e-80, 2.5, 1.0),  # c0 subnormal
+        (1e-250, 2.5, 1.0),  # c1 underflows to -0.0
+        (1.0, 2e-160, 1e-160),  # all three subnormal
+    ],
+)
+def test_quartic_coefficients_out_of_float_range(capsys, symmetric_file, a, b1, b4):
+    # a**3 raised a bare OverflowError at a = 1e200, b1 = 1e200 printed
+    # infinite coefficients with exit 0, and coefficients that underflowed
+    # printed as 0.0 or subnormals with exit 0
+    path = symmetric_file(a=a, b1=b1, b4=b4)
     code, out, err = run(capsys, ["quartic", "--input", path])
     assert code == 2 and out == ""
     assert err.startswith("solver error: quartic coefficients are not representable")

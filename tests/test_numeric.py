@@ -416,6 +416,27 @@ def test_weiszfeld_average_that_would_repeat_the_iteration_ends_the_loop(monkeyp
     assert equilibrium_residual(t, sol.point) <= 1e-6 * np.sum(t.weights)
 
 
+@pytest.mark.parametrize("reach", [1.0, 1.5])
+@pytest.mark.parametrize("i", range(4))
+def test_certified_is_false_once_twice_the_step_reaches_a_vertex(i, reach):
+    # the Lipschitz bound holds only where every |x - A_i| > d_i - 2n > 0, so
+    # a step n with 2n at or past the nearest vertex is never certified, even
+    # for an infinite bound; just short of it, that bound certifies it
+    w = (1.1, 0.7, 2.0, 1.3)
+    d = [2.0, 3.0, 4.0, 5.0]
+    d[i] = 0.5
+    assert numeric._certified(w, d, 0.49 / 2.0, math.inf)
+    assert not numeric._certified(w, d, reach * 0.5 / 2.0, math.inf)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_averages_started_on_a_vertex_return_that_point(i):
+    # a Weiszfeld average divides by each distance, so on a vertex it is
+    # skipped and the start point comes back unchanged
+    verts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.25, 1.0, 0.0), (0.5, 0.375, 1.0)]
+    assert numeric._averages((1.1, 0.7, 2.0, 1.3), verts, list(verts[i])) == list(verts[i])
+
+
 @pytest.mark.parametrize("k", [3, 6, 9, 12])
 @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("heavy", ["b1", "b4"])
