@@ -13,9 +13,9 @@ t = (X + 1/X)/4 with X^3 = W/d^2 and W = (p + q)^2 + 2 sqrt(2) sqrt(p q
 (p^2 + q^2)), so every radical is real.  The quartic splits into two
 real quadratics over sqrt(t); the one with real roots gives both axial
 roots, y = (sqrt(t) -+ sqrt(R))/2.  Each difference in that formula is
-rewritten as a quotient (X - 1, R, and the interior root), so the
-radicals are full precision on their own, with no Newton polish, for every
-weight ratio; tests/test_symbolic.py proves each rewrite.  The signed-weight
+rewritten as a quotient (X - 1, R, and the interior root), so no radical
+cancels and no Newton polish is needed at any weight ratio;
+tests/test_symbolic.py proves each rewrite.  The signed-weight
 stationarity defect, the slope of b1*a01(y) - b4*a04(y), checks the exterior
 root.  Everything here is scalar arithmetic on the axis.
 """
@@ -110,8 +110,8 @@ def ft_axial(inst: SymmetricInstance) -> float:
     """Axial coordinate of the minimizer.
 
     Positive toward the heavier pair's edge; 0 for equal weights; the
-    b1 < b4 case mirrors by swapping the pairs.  Full precision for every
-    b1 != b4, down to b1/b4 = 1 + 2^-52.
+    b1 < b4 case mirrors by swapping the pairs.  Within 6 ulps of the root
+    (exact brackets, tests/test_axial_brackets.py, ratios 1 + 1e-15 to 1e12).
     """
     roots = _axial_roots(inst)
     return 0.0 if roots is None else roots[0]
@@ -119,8 +119,8 @@ def ft_axial(inst: SymmetricInstance) -> float:
 
 def complementary_axial(inst: SymmetricInstance) -> float:
     """Axial coordinate of the signed-weight critical point (one pair's sign
-    flipped, |b1| > |b4|); lies strictly beyond c = a*sqrt(2)/4.  Raises
-    FtSolveError when it does not fit in a float."""
+    flipped, |b1| > |b4|); lies strictly beyond c = a*sqrt(2)/4, within 4 ulps
+    of the root (as ft_axial).  FtSolveError when it does not fit in a float."""
     roots = _axial_roots(inst)
     if roots is None:
         raise EqualWeights("b1 and b4 are equal; the exterior critical point escapes")

@@ -60,7 +60,15 @@ class _Record:
         return type(self), self._values()
 
 
-def _entries(values, n: int, what: str, entry=float) -> tuple:
+def _float(x) -> float:
+    """float(x), or an infinity of x's sign where float() overflows (a huge int)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _entries(values, n: int, what: str, entry=_float) -> tuple:
     """The n entries of values, each passed through entry; else ValueError.
     A string, dict or set is refused: its entries are not n values in order."""
     try:
@@ -78,7 +86,7 @@ def _point(p) -> tuple[float, float, float]:
     try:
         x, y, z = p if type(p) in (list, tuple) else ()
         out = x, y, z = float(x), float(y), float(z)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = x, y, z = _entries(p, 3, "a point")
     inf = math.inf
     if not (-inf < x < inf and -inf < y < inf and -inf < z < inf):
@@ -93,7 +101,7 @@ def _positive(values, what: str, name: str) -> tuple:
     try:
         w0, w1, w2, w3 = values if type(values) in (list, tuple) else ()
         out = w0, w1, w2, w3 = float(w0), float(w1), float(w2), float(w3)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = w0, w1, w2, w3 = _entries(values, 4, what)
     inf = math.inf
     if not (0.0 < w0 < inf and 0.0 < w1 < inf and 0.0 < w2 < inf and 0.0 < w3 < inf):
@@ -176,7 +184,7 @@ class WeightedTetrahedron(_Record):
             if not math.isfinite(x0 + y0 + z0 + x1 + y1 + z1 + x2 + y2 + z2 + x3 + y3 + z3):
                 raise ValueError
             v = (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             v = (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = _entries(vertices, 4, "vertices", _point)
         w = _positive(weights, "weights", "weights")
         # each vertex pair once (see _pairs)
@@ -236,12 +244,14 @@ class WeightedTetrahedron(_Record):
 
 class SymmetricInstance(_Record):
     """Regular tetrahedron of edge ``a`` with weight pairs b1 (on A1, A2) and
-    b4 (on A3, A4).  ``_roots`` holds analytic._axial_roots' answer once it
-    has been solved (written through _keep_roots), and None until then."""
+    b4 (on A3, A4), as floats.  ``_roots`` holds analytic._axial_roots' answer
+    once solved (written through _keep_roots), and None until then."""
 
     __slots__ = ("a", "b1", "b4", "_roots")
 
     def __init__(self, a: float, b1: float, b4: float):
+        if not type(a) is type(b1) is type(b4) is float:
+            a, b1, b4 = _float(a), _float(b1), _float(b4)
         if not 0 < a < math.inf:
             _edge(a)  # raises its NonPositiveEdge
         if not (0 < b1 < math.inf and 0 < b4 < math.inf):

@@ -63,34 +63,27 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
 
     It runs on the vertices and the weights scaled by powers of two (exact)
     into unit range, so the Hessian stays in range at any edge length and
-    any weight.  Absorbed instances short-circuit to the absorbing vertex.
-    The loop is _solve_floating's; only here are the objective and the
-    residual scaled back, with FtSolveError where the objective exceeds the
-    float range.
+    any weight.  Absorbed instances short-circuit to the absorbing vertex,
+    with a nan residual.  The loop is _solve_floating's; both cases take one
+    answer path: the objective is one fsum of w d over four distances, scaled
+    back with the residual, with FtSolveError where it exceeds the float range.
     """
-    label = classify(t)
+    vertex = classify(t).vertex
     (w0, w1, w2, w3), we = t._units
-    if label.floating:
+    if vertex is None:
         point, residual, (d0, d1, d2, d3) = _solve_floating(t)
-        # f is at least w_max d_max >= 1/8 in the scaled frame, so 2^e alone
-        # would leave it normal and exact: 2^(e + we) rounds it once, as 2^e
-        # and then 2^we do, and is refused beyond the float range as the
-        # absorbed objective is.  A residual under the threshold, at most 4e-6
-        # there, stays in range
-        e = math.frexp(t.max_edge())[1]
-        objective = _unscaled(math.fsum((w0 * d0, w1 * d1, w2 * d2, w3 * d3)), e + we, "objective")
-        return FtSolution(point, objective, math.ldexp(residual, we))
-    i = label.vertex
-    # f(A_i) from the lengths of the vertex pairs stored at construction
-    d10, d20, d21, d30, d31, d32 = t._pairs[18:]
-    terms = (
-        (w1 * d10, w2 * d20, w3 * d30),
-        (w0 * d10, w2 * d21, w3 * d31),
-        (w0 * d20, w1 * d21, w3 * d32),
-        (w0 * d30, w1 * d31, w2 * d32),
-    )[i]
-    objective = _unscaled(math.fsum(terms), we, "objective")
-    return FtSolution(t.vertices[i], objective, residual=math.nan, vertex=i)
+        # f >= w_max d_max >= 1/8 in the frame scaled by 2^-e, so 2^(e + we)
+        # rounds it once, as 2^e (normal, exact) and then 2^we do.  A residual
+        # under the threshold, at most 4e-6 there, stays in range
+        e, residual = math.frexp(t.max_edge())[1] + we, math.ldexp(residual, we)
+    else:
+        # f(A_i) from the lengths of the vertex pairs stored at construction,
+        # 0.0 at A_i itself: fsum is exactly rounded, so that term changes nothing
+        d10, d20, d21, d30, d31, d32 = t._pairs[18:]
+        rows = (0.0, d10, d20, d30), (d10, 0.0, d21, d31), (d20, d21, 0.0, d32), (d30, d31, d32, 0.0)
+        point, residual, e, (d0, d1, d2, d3) = t.vertices[vertex], math.nan, we, rows[vertex]
+    objective = _unscaled(math.fsum((w0 * d0, w1 * d1, w2 * d2, w3 * d3)), e, "objective")
+    return FtSolution(point, objective, residual, vertex=vertex)
 
 
 def _solve_floating(t: WeightedTetrahedron, start=None):

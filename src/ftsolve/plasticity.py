@@ -15,7 +15,7 @@ import math
 
 from .equilibrium import _margins
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
-from .geom_core import WeightedTetrahedron, _length, _offsets, _point, _positive, _Record
+from .geom_core import WeightedTetrahedron, _float, _length, _offsets, _point, _positive, _Record
 from .numeric import _solve_floating
 
 CLAMP_SLACK = 1e-9
@@ -41,13 +41,18 @@ class DihedralData(_Record):
 
     alpha_123 and alpha_124p are the vertex angles at A2 (toward A1/A3 and
     A1/A4'); alpha_g4p is the dihedral between the planes A3A1A2 and
-    A4'A1A2 along edge A1A2.
-    """
+    A4'A1A2 along edge A1A2.  Stored as floats; OutOfDomain unless the
+    lengths are finite and not negative, a12 and a23 (divisors) positive, and
+    the angles finite."""
 
     __slots__ = ("a01", "a02", "a03", "a23", "a12", "a24p", "alpha_123", "alpha_124p", "alpha_g4p")
 
     def __init__(self, a01, a02, a03, a23, a12, a24p, alpha_123, alpha_124p, alpha_g4p):
-        values = (a01, a02, a03, a23, a12, a24p, alpha_123, alpha_124p, alpha_g4p)
+        values = tuple(map(_float, (a01, a02, a03, a23, a12, a24p, alpha_123, alpha_124p, alpha_g4p)))
+        if not (all(0.0 <= x < math.inf for x in values[:6]) and min(values[3:5]) > 0.0):
+            raise OutOfDomain("lengths must be finite and not negative, and a12 and a23 positive")
+        if not all(map(math.isfinite, values[6:])):
+            raise OutOfDomain("angles must be finite")
         for set_slot, value in zip(self._setters, values):
             set_slot(self, value)
 
@@ -101,10 +106,7 @@ def dihedral_alpha(d: DihedralData, h: float) -> float:
     if sin123 == 0.0:
         raise OutOfDomain("alpha_123 must not be 0 or pi")
     (a01, a02, a03, a23, a12, h), _ = _unit(d.a01, d.a02, d.a03, d.a23, d.a12, h)
-    arg = (
-        (a02**2 + a23**2 - a03**2) / (2.0 * a23)
-        - _foot(a01, a02, a12) * math.cos(d.alpha_123)
-    ) / (h * sin123)
+    arg = (_foot(a03, a02, a23) - _foot(a01, a02, a12) * math.cos(d.alpha_123)) / (h * sin123)
     if not abs(arg) <= 1.0 + CLAMP_SLACK:
         raise OutOfDomain(f"arccos argument {arg} out of range beyond slack")
     return math.acos(min(1.0, max(-1.0, arg)))
@@ -157,32 +159,26 @@ def dihedral_angle(edge_p, edge_q, c1, c2) -> float:
     as for p = q; elsewhere the angle is off by at most 5u sum_k |o_k|/|n_k|
     plus a few ulps.  An offset that overflows is refused (see _angle)."""
     p, q, c1, c2 = map(_point, (edge_p, edge_q, c1, c2))
-    return _dihedral(*_offsets((q, c1, c2), p)[0])
-
-
-def _dihedral(e, o1, o2) -> float:
-    """dihedral_angle on the offsets e, o1 and o2 of q, c1 and c2 from p."""
-    de = _length(*e)
+    (e, o1, o2), (de, do1, do2) = _offsets((q, c1, c2), p)
     if de == 0.0:
         raise OutOfDomain("the angle is undefined: the edge has zero length")
     ex, ey, ez = [math.ldexp(c, -math.frexp(de)[1]) for c in e]
     normals = [(ey * oz - ez * oy, ez * ox - ex * oz, ex * oy - ey * ox) for ox, oy, oz in (o1, o2)]
-    if any(_length(*n) <= 2.0**-50 * _length(*o) < math.inf for n, o in zip(normals, (o1, o2))):
+    if any(_length(*n) <= 2.0**-50 * do < math.inf for n, do in zip(normals, (do1, do2))):
         raise OutOfDomain("the angle is undefined: c1 or c2 lies on the edge's line")
     return _angle(*normals)
 
 
 def measure_dihedral_data(a0, a1, a2, a3, a4p) -> DihedralData:
     """Measure all lengths and angles the formulas need from an explicit
-    configuration: the distances, and the angles from the offsets at A2."""
+    configuration: the distances, and the angles at A2 by vertex_angle and
+    dihedral_angle."""
     a0, a1, a2, a3, a4p = map(_point, (a0, a1, a2, a3, a4p))
     _, (a01, a02, a03) = _offsets((a1, a2, a3), a0)
-    (o3, o1, o4p), (a23, a12, a24p) = _offsets((a3, a1, a4p), a2)
+    _, (a23, a12, a24p) = _offsets((a3, a1, a4p), a2)
     return DihedralData(
         a01, a02, a03, a23, a12, a24p,
-        alpha_123=_angle(o1, o3),
-        alpha_124p=_angle(o1, o4p),
-        alpha_g4p=_dihedral(o1, o3, o4p),
+        vertex_angle(a2, a1, a3), vertex_angle(a2, a1, a4p), dihedral_angle(a2, a1, a3, a4p),
     )
 
 

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from ftsolve import (
     angles_at,
     axial_distances,
     embed_regular,
+    equilibrium_residual,
     objective,
+    solve_symmetric,
 )
 from ftsolve.geom_core import _entries, _point, _positive
 
@@ -234,6 +238,7 @@ VERTEX_INPUTS = {
     "nan": lambda: ([0.0, 0.0, 0.0], (1.0, math.nan, 0.0), *UNIT[2:]),
     "string-row": lambda: ["123", *UNIT[1:]],
     "dict-row": lambda: [{0: 0.0, 1: 0.0, 2: 0.0}, *UNIT[1:]],
+    "huge-int": lambda: [[0.0, 10**400, 0.0], *UNIT[1:]],
 }
 
 
@@ -271,6 +276,7 @@ FOUR_INPUTS = {
     "non-numeric-string": lambda: [1.0, "x", 3.0, 4.0],
     "generator": lambda: (x for x in [1.0, 2.0, 3.0, 4.0]),
     "array": lambda: np.array([1.0, 2.0, 3.0, 4.0]),
+    "huge-int": lambda: [1.0, 2.0, -(10**400), 4.0],
 }
 
 
@@ -389,6 +395,67 @@ def test_symmetric_instance_validation():
         SymmetricInstance(a=1.0, b1=0.0, b4=1.0)
     inst = SymmetricInstance(a=2.0, b1=2.0, b4=1.0)
     assert inst.c == pytest.approx(math.sqrt(2) / 2)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [True, 1, "1", Decimal(1), Fraction(1), np.float64(1.0)],
+    ids=["bool", "int", "str", "Decimal", "Fraction", "float64"],
+)
+def test_symmetric_instance_stores_floats(a):
+    # the inputs were kept as given: b1=True printed as True, a Decimal edge
+    # broke solve_symmetric with a bare TypeError, and "1" raised one here
+    inst = SymmetricInstance(a, 2.5, a)
+    assert [type(v) for v in (inst.a, inst.b1, inst.b4)] == [float] * 3
+    assert repr(inst) == "SymmetricInstance(a=1.0, b1=2.5, b4=1.0)"
+    assert solve_symmetric(inst) == solve_symmetric(SymmetricInstance(1.0, 2.5, 1.0))
+
+
+HUGE = 10**400  # an int beyond the float range: float() raises OverflowError
+
+
+@pytest.mark.parametrize(
+    "a, b1, b4, error, message",
+    [
+        (HUGE, 2.0, 1.0, NonPositiveEdge, "got inf$"),
+        (-HUGE, 2.0, 1.0, NonPositiveEdge, "got -inf$"),
+        (Fraction(HUGE), 2.0, 1.0, NonPositiveEdge, "got inf$"),
+        (1.0, HUGE, 1.0, ValueError, "^weights must be positive and finite$"),
+        (1.0, 2.0, -HUGE, ValueError, "^weights must be positive and finite$"),
+    ],
+    ids=["a", "-a", "fraction a", "b1", "-b4"],
+)
+def test_symmetric_instance_refuses_numbers_beyond_the_float_range(a, b1, b4, error, message):
+    # they were kept, and solve_symmetric raised a bare OverflowError
+    with pytest.raises(error, match=message):
+        SymmetricInstance(a, b1, b4)
+
+
+BEYOND_FLOATS = {
+    "vertex": (lambda: WeightedTetrahedron([[0.0, HUGE, 0.0], *UNIT[1:]], W4), "point coordinates must be finite"),
+    "vertex-generator": (
+        lambda: WeightedTetrahedron((p for p in [*UNIT[:3], (0.0, 0.0, HUGE)]), W4),
+        "point coordinates must be finite",
+    ),
+    "weight": (lambda: WeightedTetrahedron(UNIT, [1.0, HUGE, 1.0, 1.0]), "weights must be positive and finite"),
+    "stretch-factor": (
+        lambda: PlasticityInstance(WeightedTetrahedron(UNIT, W4), [0.2, 0.2, 0.2], [1.0, 1.0, HUGE, 1.0]),
+        "stretch factors must be positive and finite",
+    ),
+    "objective-point": (lambda: objective(UNIT, W4, [HUGE, 0.0, 0.0]), "point coordinates must be finite"),
+    "objective-weight": (lambda: objective(UNIT, [1.0, 1.0, 1.0, HUGE], [0.2, 0.0, 0.0]), "weights must be finite"),
+    "residual-point": (
+        lambda: equilibrium_residual(WeightedTetrahedron(UNIT, W4), (x for x in (0.2, -HUGE, 0.0))),
+        "point coordinates must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", BEYOND_FLOATS.values(), ids=BEYOND_FLOATS.keys())
+def test_numbers_beyond_the_float_range_are_refused_as_infinite(build, message):
+    # float() raises OverflowError for them, which escaped bare
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_largest_edge_message_measures_the_edge_without_squaring():

@@ -586,6 +586,40 @@ def ref_dihedral_data(**changes):
     return DihedralData(**{**fields, **changes})
 
 
+LENGTHS_REFUSED = "^lengths must be finite and not negative, and a12 and a23 positive$"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"a12": 0.0}, LENGTHS_REFUSED),
+        ({"a23": 0.0}, LENGTHS_REFUSED),
+        ({"a24p": -0.5, "alpha_124p": 0.7, "alpha_g4p": 0.3}, LENGTHS_REFUSED),
+        ({"a03": -1.0 / math.sqrt(3.0)}, LENGTHS_REFUSED),
+        ({"a01": math.inf}, LENGTHS_REFUSED),
+        ({"a02": math.nan}, LENGTHS_REFUSED),
+        ({"a01": 10**400}, LENGTHS_REFUSED),
+        ({"alpha_123": math.nan}, "^angles must be finite$"),
+        ({"alpha_g4p": -math.inf}, "^angles must be finite$"),
+    ],
+    ids=["a12 zero", "a23 zero", "a24p negative", "a03 negative", "a01 inf", "a02 nan", "a01 huge int",
+         "alpha_123 nan", "alpha_g4p -inf"],
+)
+def test_dihedral_data_refuses_values_the_formulas_cannot_take(changes, message):
+    # they were stored: a12 = 0 or a23 = 0 made dihedral_alpha and
+    # predict_a04p raise a bare ZeroDivisionError, a24p = -0.5 predicted
+    # a04' = 1.0728 (at h = height_012(r, r, 1), alpha = 0.4), a negative a03
+    # was read as |a03|, and a nan angle was refused as a negative radicand
+    with pytest.raises(OutOfDomain, match=message):
+        ref_dihedral_data(**changes)
+
+
+def test_dihedral_data_stores_floats():
+    d = DihedralData(1, True, "1", 1, 1, 0, 0, 0, 0)
+    assert [type(v) for v in d._values()] == [float] * 9
+    assert d == DihedralData(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
 def test_dihedral_alpha_refuses_a_height_not_positive(h):
     # nan passed h <= 0 and gave pi

@@ -18,6 +18,7 @@ import sys
 
 import pytest
 from oracle import quartic_coefficients, regular_vertices, residual, symmetric_reference
+from test_axial_brackets import EDGES, RATIOS
 
 from ftsolve import (
     FtSolveError,
@@ -34,11 +35,6 @@ from ftsolve import (
 from ftsolve.cli import main
 
 REL_TOL = 1e-9
-
-BAND = {f"1+1e-{k}": 1.0 + 10.0**-k for k in range(1, 11)}
-BROAD = {f"10^{x:g}": 10.0**x for x in [0.05] + [j / 4 for j in range(1, 49)]}
-RATIOS = {**BAND, **BROAD}
-EDGES = (1e-3, 1.0, 1e3)
 
 
 def relative_errors(a, b1, b4):
