@@ -33,8 +33,8 @@ print("stretched vertices:")
 for vertex in stretched.vertices:
     print("  " + "  ".join(f"{c: .8f}" for c in vertex))
 
-moved = verify_invariance(pinst)
-print(f"minimizer displacement after re-solving: {moved:.3e}")
+bound = verify_invariance(pinst)
+print(f"certified bound on the distance from a0 to the new minimizer: {bound:.3e}")
 
 # predict the distance to the stretched fourth vertex from measurements
 v = stretched.vertices

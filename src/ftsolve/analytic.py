@@ -25,7 +25,17 @@ from __future__ import annotations
 import math
 
 from .errors import EqualWeights, FtSolveError, OutOfDomain
-from .geom_core import _MIN_NORMAL, SQRT2, FtSolution, SymmetricInstance, _axial_slope, _keep_roots, _Record, _unscaled
+from .geom_core import (
+    _MIN_NORMAL,
+    SQRT2,
+    FtSolution,
+    SymmetricInstance,
+    _axial_slope,
+    _float,
+    _keep_roots,
+    _Record,
+    _unscaled,
+)
 
 
 class QuarticCoefficients(_Record):
@@ -134,8 +144,10 @@ def stationarity_defect(inst: SymmetricInstance, y: float) -> float:
     large y when b1 > b4, and zero at the signed-weight critical point.  The
     heavier weight is scaled into [0.5, 1) by a power of two, as for the
     axial roots, so b4 c y cannot overflow; FtSolveError if the slope does.
-    As angles_at, ValueError unless y is finite, and OutOfDomain where y / a
-    overflows."""
+    As angles_at, ValueError unless y is finite, OutOfDomain where y / a
+    overflows, and other numbers taken as floats."""
+    if type(y) is not float:
+        y = _float(y)
     if not math.isfinite(y):
         raise ValueError(f"the axial coordinate must be finite, got {y}")
     ya = y / inst.a

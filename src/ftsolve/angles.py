@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .errors import OutOfDomain
-from .geom_core import SQRT2, _edge, _Record
+from .geom_core import SQRT2, _edge, _float, _Record
 
 
 class AngleSet(_Record):
@@ -41,7 +41,10 @@ class AngleSet(_Record):
 def angles_at(a: float, y: float) -> AngleSet:
     """Angles subtended by the edges at the axial point with coordinate y;
     ValueError unless y is finite, and OutOfDomain where y scaled with a
-    overflows (|y| / a about 2^1024 or more, every angle below 2^-1022)."""
+    overflows (|y| / a about 2^1024 or more, every angle below 2^-1022).
+    Other numbers are taken as floats, a huge int as an infinity."""
+    if not type(a) is type(y) is float:
+        a, y = _float(a), _float(y)
     if not 0 < a < math.inf:
         _edge(a)  # raises its NonPositiveEdge
     if not math.isfinite(y):

@@ -277,7 +277,10 @@ _keep_roots = SymmetricInstance._setters[3]  # the _roots slot
 def embed_regular(a: float) -> tuple[tuple[float, float, float], ...]:
     """The four vertices of a regular tetrahedron of edge a in the canonical
     frame: the midpoints of edges A1A2 and A3A4 sit at +-c on the z axis,
-    c = a*sqrt(2)/4."""
+    c = a*sqrt(2)/4.  Other numbers are taken as floats, a huge int as an
+    infinity."""
+    if type(a) is not float:
+        a = _float(a)
     c = _edge(a)
     h = a / 2.0
     return (-h, 0.0, c), (h, 0.0, c), (0.0, -h, -c), (0.0, h, -c)
@@ -286,7 +289,9 @@ def embed_regular(a: float) -> tuple[tuple[float, float, float], ...]:
 def axial_distances(a: float, y: float) -> tuple[float, float]:
     """Distances from the axial point at coordinate y to the A1/A2 pair
     (a01) and to the A3/A4 pair (a04); as angles_at, ValueError unless y is
-    finite."""
+    finite, and other numbers taken as floats."""
+    if not type(a) is type(y) is float:
+        a, y = _float(a), _float(y)
     c = _edge(a)
     if not math.isfinite(y):
         raise ValueError(f"the axial coordinate must be finite, got {y}")

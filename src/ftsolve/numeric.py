@@ -3,7 +3,10 @@
 Two routes to the minimizer: the general 3-D solver (a Newton finish with a
 Weiszfeld fallback, run until a Newton step is under the step tolerance or
 certified, and for heavy weight pairs run once more on a decimal gradient), and
-bisection of the slope of the reduced axial objective.
+bisection of the slope of the reduced axial objective.  A third checks a given
+point instead of finding one: _position_bound certifies, in one pass over the
+vertices, how far the point can be from the minimizer (verify_invariance's
+bound at a0).
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ from __future__ import annotations
 import math
 
 from .equilibrium import _residual, classify
-from .errors import FtSolveError, NoConvergence
+from .errors import CoincidentPoints, FtSolveError, NoConvergence
 from .geom_core import (
+    _MIN_NORMAL,
     SQRT2,
     FtSolution,
     SymmetricInstance,
@@ -23,10 +27,11 @@ from .geom_core import (
 )
 
 # step cap of the general solver (on the general benchmark's inputs, seeds
-# 11-13, weiszfeld took at most 12 steps, and verify_invariance's re-solves
-# from a0 one each), how often a Newton step that does not lower the
-# objective is halved before the Weiszfeld step replaces it, and the step
-# length, relative to the largest edge, that ends the loop
+# 11-13, weiszfeld took at most 12 steps), how often a Newton step that does
+# not lower the objective is halved before the Weiszfeld step replaces it,
+# and the step length, relative to the largest edge, that ends the loop (and
+# above which _position_bound's float rounding part takes the decimal
+# gradient)
 MAX_ITER = 100
 HALVINGS = 4
 STEP_TOL = 1e-12
@@ -55,11 +60,8 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     run does, but has neither the certified stop nor the Weiszfeld step.
     From ratios of about 4e15 on, classify may read a floating heavy pair as
     absorbed (see there), and the answer is then the heavy vertex.
-    Solved cold, from the minimizer and from 0.1 and 2 edges off it,
-    stretched two-pair tetrahedra (weights log-uniform in [0.2, 5], stretch
-    factors in [0.5, 3]; 1,500 draws) gave answers up to 9.7 * 2^-52 edge
-    apart.  NoConvergence is raised when the residual at the last point
-    exceeds 1e-6 * sum(w).
+    NoConvergence is raised when the residual at the last point exceeds
+    1e-6 * sum(w).
 
     It runs on the vertices and the weights scaled by powers of two (exact)
     into unit range, so the Hessian stays in range at any edge length and
@@ -86,7 +88,22 @@ def weiszfeld(t: WeightedTetrahedron) -> FtSolution:
     return FtSolution(point, objective, residual, vertex=vertex)
 
 
-def _solve_floating(t: WeightedTetrahedron, start=None):
+def _frame(t: WeightedTetrahedron):
+    """The largest edge as 2^e times edge in [0.5, 1), and the vertices
+    scaled by 2^-e: exact, as the edge bound keeps the largest edge in
+    [2^-500, 2^500].  Returns edge, e and the scaled vertices."""
+    edge, e = math.frexp(t.max_edge())
+    scale = 2.0**-e
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = t.vertices
+    return edge, e, (
+        (x0 * scale, y0 * scale, z0 * scale),
+        (x1 * scale, y1 * scale, z1 * scale),
+        (x2 * scale, y2 * scale, z2 * scale),
+        (x3 * scale, y3 * scale, z3 * scale),
+    )
+
+
+def _solve_floating(t: WeightedTetrahedron):
     """weiszfeld's loop on a tetrahedron already classified as floating: each
     step goes to the first x + f s, f in _TRIALS, on no vertex that lowers the
     objective, else to the Weiszfeld average.  Where the float gradient's
@@ -94,52 +111,37 @@ def _solve_floating(t: WeightedTetrahedron, start=None):
     again from where it ended, with exact: on _visit's decimal gradient,
     without the certified stop or the Weiszfeld average, and a trial whose
     change is positive but within its rounding counts as lowering it.  It
-    runs on the vertices scaled by 2^-e, e the exponent of the largest edge,
-    exact in the normal range the edge bound keeps offsets and distances in,
-    so the residual kernel's (w o)/d and fsum(w d) 2^e are the caller's-scale
-    floats, and every step (the seed, the stop, the decimal run, whose
-    base-10 rounding sees the same floats) commutes with scaling by a power
-    of two.  A start point on no vertex replaces the averages as the first
-    point; the stop rules are the same from any start, so it only saves
-    passes: from the minimizer itself the first Newton step ends the loop.
+    runs on the vertices scaled by 2^-e (see _frame), exact in the normal
+    range the edge bound keeps offsets and distances in, so the residual
+    kernel's (w o)/d and fsum(w d) 2^e are the caller's-scale floats, and
+    every step (the seed, the stop, the decimal run, whose base-10 rounding
+    sees the same floats) commutes with scaling by a power of two.
 
     It ends at the gated point, with NoConvergence above the residual threshold
     and CoincidentPoints on a vertex (see _residual), and returns that point at
     the caller's scale, its residual at the weights scaled by 2^-we (see
     WeightedTetrahedron._units) and its four distances to the vertices scaled
-    by 2^-e.  It computes no objective: weiszfeld builds the FtSolution, and
-    verify_invariance reads only the point."""
-    edge, e = math.frexp(t.max_edge())
+    by 2^-e.  It computes no objective: weiszfeld builds the FtSolution."""
+    edge, e, verts = _frame(t)
     stop = STEP_TOL * edge
-    scale = 2.0**-e  # the largest edge is in [2^-500, 2^500]
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = t.vertices
-    verts = (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = (
-        (x0 * scale, y0 * scale, z0 * scale),
-        (x1 * scale, y1 * scale, z1 * scale),
-        (x2 * scale, y2 * scale, z2 * scale),
-        (x3 * scale, y3 * scale, z3 * scale),
-    )
+    scale = 2.0**-e
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = verts
     w, we = t._units
     w0, w1, w2, w3 = w
     total_w = w0 + w1 + w2 + w3
-    # the start point, as a zero step from itself (any positive distances do)
-    at = None
-    if start is not None:
-        x = [start[0] * scale, start[1] * scale, start[2] * scale]
-        at = _visit(w, verts, x, x, w)
-    if at is None:
-        # the Newton finish starts from two Weiszfeld averages of the weighted
-        # mean (plain sums do: only the start point depends on its last bits):
-        # on the general benchmark's inputs they save 1.9 passes per solve at
-        # the cost of 0.8, and a third average would save less than it costs
-        mean = [
-            (w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3) / total_w,
-            (w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3) / total_w,
-            (w0 * z0 + w1 * z1 + w2 * z2 + w3 * z3) / total_w,
-        ]
-        x = _averages(w, verts, mean)
-        # the mean, inside the hull, if the averages landed on a vertex
-        at = _visit(w, verts, x, x, w) or _visit(w, verts, mean, mean, w)
+    # the Newton finish starts from two Weiszfeld averages of the weighted
+    # mean (plain sums do: only the start point depends on its last bits):
+    # on the general benchmark's inputs they save 1.9 passes per solve at
+    # the cost of 0.8, and a third average would save less than it costs
+    mean = [
+        (w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3) / total_w,
+        (w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3) / total_w,
+        (w0 * z0 + w1 * z1 + w2 * z2 + w3 * z3) / total_w,
+    ]
+    x = _averages(w, verts, mean)
+    # the start point, as a zero step from itself (any positive distances
+    # do); the mean, inside the hull, if the averages landed on a vertex
+    at = _visit(w, verts, x, x, w) or _visit(w, verts, mean, mean, w)
     # _visit's gradient is off by at most 16 u sum(w), u = 2^-53 (see _visit),
     # and its Newton step by up to that over mu <= lambda_min(H).  Where that
     # exceeds stop (a heavy pair's unit vectors leave w_h u of rounding), no
@@ -226,6 +228,162 @@ def _certified(w, d, n, bound):
     d0, d1, d2, d3 = d0 - r, d1 - r, d2 - r, d3 - r
     lip = w0 / (d0 * d0) + w1 / (d1 * d1) + w2 / (d2 * d2) + w3 / (d3 * d3)
     return 1.1547005383792517 * lip * n * n <= bound  # 2/sqrt(3), rounded up
+
+
+def _position_bound(w, verts, x, edge):
+    """A certified bound on the distance from x to the minimizer, as its two
+    parts (step, rounding), in the frame of x, verts and the largest edge
+    (see _frame).  One pass over the vertices at x forms the offsets
+    o_i = x - A_i, the distances d_i, the gradient g = sum_i (w_i / d_i) o_i,
+    the Hessian H = sum_i (w_i / d_i) I - (w_i / d_i^3) o_i o_i^T, its Newton
+    step s and mu <= lambda_min(H) (see _eigen_floor).
+
+    Let rho bound |g + H s| for the exact g and H at the float x and the
+    float step s, and let m <= lambda_min(H(y)) for every y within R of x,
+    R <= d_min / 2.  The Hessian of w |y - A| changes at a rate of at most
+    (2/sqrt(3)) w / |y - A|^2 (see _certified), so on that ball it is
+    L-Lipschitz for L = (8/sqrt(3)) sum_i w_i / d_i^2, |g(x + s)| <=
+    rho + L |s|^2 / 2, and f is m-convex: the minimizer lies within
+    |s| + L |s|^2 / (2 m) (step) + rho / m (rounding) of x, as long as that
+    is at most R.  With R = 2 (|s| + (2 rho + L |s|^2) / mu) and
+    m = mu - L R >= mu / 2 it is.  H is a sum of semidefinite terms, so the
+    least eigenvalue of the terms of some of the vertices, less their own
+    part of L times R, bounds the curvature too: where a heavy pair makes
+    L R exceed mu / 2 (from weight ratios of about 1e14 on), the vertices of
+    largest w_i / d_i^2 are left out of mu, one and then two.  So a pair's
+    anisotropy stays out of the step part: at the minimizer it is about
+    |x - x*|, where |g| / mu would be kappa(H) times that.
+
+    rho is the gradient's rounding, the residual of the float solve, and the
+    rounding of H and of that residual.  Each entry of the float H is off by
+    at most 24 u sqrt(h_aa h_bb), u = 2^-53 (at most 15 u on each term, and
+    |h_ab| <= sqrt(h_aa h_bb) for a sum of semidefinite terms), so
+    |(H - float H) s| <= 24 u trace(H) |s|, and forming g + H s adds
+    5 u (|g| + trace(H) |s|).  The float gradient is off by at most
+    16 u sum(w) (as _visit's); where that over mu exceeds STEP_TOL edge (a
+    heavy pair), the step is taken on _gradient_wide's, within
+    u^2 sum(w) / 2 before its rounding to floats.  Each part is raised by
+    2^-40 of itself for the rounding of the few operations that form it.
+
+    CoincidentPoints where x is within 2^-511 edge of a vertex (a distance's
+    square leaves the normal range); FtSolveError, naming the reason, where
+    mu is not positive at the float entries, the ball reaches halfway to a
+    vertex, or no choice of vertices keeps L R within mu / 2."""
+    w0, w1, w2, w3 = w
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = verts
+    px, py, pz = x
+    ox0, oy0, oz0 = px - x0, py - y0, pz - z0
+    ox1, oy1, oz1 = px - x1, py - y1, pz - z1
+    ox2, oy2, oz2 = px - x2, py - y2, pz - z2
+    ox3, oy3, oz3 = px - x3, py - y3, pz - z3
+    xx0, yy0, zz0 = ox0 * ox0, oy0 * oy0, oz0 * oz0
+    xx1, yy1, zz1 = ox1 * ox1, oy1 * oy1, oz1 * oz1
+    xx2, yy2, zz2 = ox2 * ox2, oy2 * oy2, oz2 * oz2
+    xx3, yy3, zz3 = ox3 * ox3, oy3 * oy3, oz3 * oz3
+    q0, q1, q2, q3 = xx0 + yy0 + zz0, xx1 + yy1 + zz1, xx2 + yy2 + zz2, xx3 + yy3 + zz3
+    tiny = _MIN_NORMAL
+    if not (q0 >= tiny and q1 >= tiny and q2 >= tiny and q3 >= tiny):
+        raise CoincidentPoints("the point lies on a vertex, or within 2^-511 edge of one")
+    sqrt = math.sqrt
+    t0, t1, t2, t3 = sqrt(q0), sqrt(q1), sqrt(q2), sqrt(q3)
+    k0, k1, k2, k3 = w0 / t0, w1 / t1, w2 / t2, w3 / t3
+    c0, c1, c2, c3 = k0 / q0, k1 / q1, k2 / q2, k3 / q3
+    gx = k0 * ox0 + k1 * ox1 + k2 * ox2 + k3 * ox3
+    gy = k0 * oy0 + k1 * oy1 + k2 * oy2 + k3 * oy3
+    gz = k0 * oz0 + k1 * oz1 + k2 * oz2 + k3 * oz3
+    # the diagonal as a sum of squares, free of cancellation
+    hxx = c0 * (yy0 + zz0) + c1 * (yy1 + zz1) + c2 * (yy2 + zz2) + c3 * (yy3 + zz3)
+    hyy = c0 * (xx0 + zz0) + c1 * (xx1 + zz1) + c2 * (xx2 + zz2) + c3 * (xx3 + zz3)
+    hzz = c0 * (xx0 + yy0) + c1 * (xx1 + yy1) + c2 * (xx2 + yy2) + c3 * (xx3 + yy3)
+    hxy = 0.0 - c0 * ox0 * oy0 - c1 * ox1 * oy1 - c2 * ox2 * oy2 - c3 * ox3 * oy3
+    hxz = 0.0 - c0 * ox0 * oz0 - c1 * ox1 * oz1 - c2 * ox2 * oz2 - c3 * ox3 * oz3
+    hyz = 0.0 - c0 * oy0 * oz0 - c1 * oy1 * oz1 - c2 * oy2 * oz2 - c3 * oy3 * oz3
+    cxx, cyy, czz, cxy, cxz, cyz, det, mu = _eigen_floor(hxx, hyy, hzz, hxy, hxz, hyz)
+    if not 0.0 < mu < math.inf:
+        raise FtSolveError("the Hessian's least eigenvalue is not above its rounding")
+    total_w = w0 + w1 + w2 + w3
+    noise = 2.0**-49 * total_w
+    if noise > STEP_TOL * edge * mu:
+        # the decimal gradient, and its bound with the rounding to floats
+        gx, gy, gz = map(float, _gradient_wide(w, verts, x))
+        noise = 2.0**-106 * total_w + 2.0**-52 * sqrt(gx * gx + gy * gy + gz * gz)
+    sx = -(cxx * gx + cxy * gy + cxz * gz) / det
+    sy = -(cxy * gx + cyy * gy + cyz * gz) / det
+    sz = -(cxz * gx + cyz * gy + czz * gz) / det
+    rx = gx + hxx * sx + hxy * sy + hxz * sz
+    ry = gy + hxy * sx + hyy * sy + hyz * sz
+    rz = gz + hxz * sx + hyz * sy + hzz * sz
+    n = sqrt(sx * sx + sy * sy + sz * sz)
+    gn = sqrt(gx * gx + gy * gy + gz * gz)
+    rho = noise + sqrt(rx * rx + ry * ry + rz * rz) + 2.0**-47 * ((hxx + hyy + hzz) * n + gn)
+    # L, with 8/sqrt(3) rounded up, and R
+    lip = 4.618802153517007 * (k0 / t0 + k1 / t1 + k2 / t2 + k3 / t3)
+    r = 2.0 * (n + (2.0 * rho + lip * n * n) / mu)
+    r2 = r + r
+    if not (r2 <= t0 and r2 <= t1 and r2 <= t2 and r2 <= t3):
+        raise FtSolveError("the certified ball reaches halfway to a vertex")
+    if lip * r <= 0.5 * mu:
+        m = mu - lip * r
+    else:
+        offsets = (ox0, oy0, oz0), (ox1, oy1, oz1), (ox2, oy2, oz2), (ox3, oy3, oz3)
+        m = _kept_curvature((c0, c1, c2, c3), offsets, (t0, t1, t2, t3), n, rho, lip)
+    slack = 1.0 + 2.0**-40
+    return (n + lip * n * n / (2.0 * m)) * slack, rho / m * slack
+
+
+def _eigen_floor(hxx, hyy, hzz, hxy, hxz, hyz):
+    """The cofactors (xx, yy, zz, xy, xz, yz) and the determinant of the float
+    symmetric H, and mu <= lambda_min of the exact H whose entries the float
+    ones are within 24 u sqrt(h_aa h_bb) of (see _position_bound), where H is
+    positive semidefinite: det / trace(adj H) = 1 / sum_k 1 / lambda_k,
+    with det lowered by 2^-43 h_xx h_yy h_zz and trace(adj H) raised by
+    2^-46 (h_xx h_yy + h_xx h_zz + h_yy h_zz).  Scaled by the diagonal, the
+    entries are at most 1 in size and move by at most 24 u, which moves the
+    determinant by at most 18 * 24 u h_xx h_yy h_zz and each 2 x 2 principal
+    minor by 4 * 24 u of its diagonal product; rounding adds 42 u and 6 u of
+    the same, under 2^-43 = 1024 u and 2^-46 = 128 u."""
+    cxx = hyy * hzz - hyz * hyz
+    cxy = hxz * hyz - hxy * hzz
+    cxz = hxy * hyz - hxz * hyy
+    cyy = hxx * hzz - hxz * hxz
+    cyz = hxy * hxz - hxx * hyz
+    czz = hxx * hyy - hxy * hxy
+    det = hxx * cxx + hxy * cxy + hxz * cxz
+    pxy, pxz, pyz = hxx * hyy, hxx * hzz, hyy * hzz
+    mu = (det - 2.0**-43 * pxy * hzz) / (cxx + cyy + czz + 2.0**-46 * (pxy + pxz + pyz))
+    return cxx, cyy, czz, cxy, cxz, cyz, det, mu
+
+
+def _kept_curvature(c, offsets, t, n, rho, lip):
+    """m for _position_bound where L R exceeds mu / 2: mu of the Hessian's
+    terms of the vertices kept (see _eigen_floor), each entry summed as
+    _position_bound sums all four, less their part of L times R, with the
+    vertex of largest w_i / d_i^2 left out, and then the two; from the
+    w_i / d_i^3, the offsets o_i and the distances d_i at x."""
+    rates = [ci * ti for ci, ti in zip(c, t)]  # w_i / d_i^2
+    kept = [0, 1, 2, 3]
+    for _ in (1, 2):
+        kept.remove(max(kept, key=rates.__getitem__))
+        hxx = hyy = hzz = hxy = hxz = hyz = 0.0
+        for i in kept:
+            ci, (ox, oy, oz) = c[i], offsets[i]
+            xx, yy, zz = ox * ox, oy * oy, oz * oz
+            hxx += ci * (yy + zz)
+            hyy += ci * (xx + zz)
+            hzz += ci * (xx + yy)
+            hxy -= ci * ox * oy
+            hxz -= ci * ox * oz
+            hyz -= ci * oy * oz
+        mu = _eigen_floor(hxx, hyy, hzz, hxy, hxz, hyz)[-1]
+        if not 0.0 < mu < math.inf:
+            raise FtSolveError("the Hessian's least eigenvalue is not above its rounding")
+        r = 2.0 * (n + (2.0 * rho + lip * n * n) / mu)
+        if not r + r <= min(t):
+            raise FtSolveError("the certified ball reaches halfway to a vertex")
+        lip_kept = 4.618802153517007 * sum(rates[i] for i in kept)
+        if lip_kept * r <= 0.5 * mu:
+            return mu - lip_kept * r
+    raise FtSolveError("the Hessian's change on the certified ball exceeds half its least eigenvalue")
 
 
 def _averages(w, verts, x):

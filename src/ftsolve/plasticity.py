@@ -16,7 +16,7 @@ import math
 from .equilibrium import _margins
 from .errors import DegenerateTriangle, FloatingViolated, OutOfDomain
 from .geom_core import WeightedTetrahedron, _float, _length, _offsets, _point, _positive, _Record
-from .numeric import _solve_floating
+from .numeric import _frame, _position_bound
 
 CLAMP_SLACK = 1e-9
 
@@ -65,6 +65,13 @@ def _unit(*lengths):
     return [math.ldexp(x, -e) for x in lengths], e
 
 
+def _divisor(x: float, name: str) -> None:
+    """OutOfDomain naming the divisor x where, not 0 before _unit, it scaled
+    to 0.0 beside the largest length."""
+    if x == 0.0:
+        raise OutOfDomain(f"{name} scales to 0 beside the largest length")
+
+
 def height_012(a01: float, a02: float, a12: float) -> float:
     """Height of triangle A0A1A2 from A0 onto side A1A2.
 
@@ -74,7 +81,10 @@ def height_012(a01: float, a02: float, a12: float) -> float:
     x >= y >= z, (x + (y + z))(z - (x - y))(z + (x - y))(x + (y - z)) keeps
     full precision for a needle-like triangle, where the radicand cancels.
     DegenerateTriangle unless a12 is positive and every side finite and not
-    negative (a nan fails every test)."""
+    negative (a nan fails every test); other numbers are taken as floats, a
+    huge int as an infinity."""
+    if not type(a01) is type(a02) is type(a12) is float:
+        a01, a02, a12 = _float(a01), _float(a02), _float(a12)
     inf = math.inf
     if not a12 > 0:
         raise DegenerateTriangle("base side a12 must be positive")
@@ -96,8 +106,9 @@ def _foot(a01: float, a02: float, a12: float) -> float:
 
 def dihedral_alpha(d: DihedralData, h: float) -> float:
     """Dihedral angle between planes A0A1A2 and A3A1A2 along edge A1A2;
-    OutOfDomain unless h is positive and finite, and where the arccos
-    argument is nan or beyond the slack."""
+    OutOfDomain unless h is positive and finite, where a divisor (a23, a12
+    or h sin(alpha_123)) scales to 0 beside the largest length, and where
+    the arccos argument is nan or beyond the slack."""
     if not h > 0:
         raise OutOfDomain("height must be positive")
     if h == math.inf:
@@ -106,6 +117,9 @@ def dihedral_alpha(d: DihedralData, h: float) -> float:
     if sin123 == 0.0:
         raise OutOfDomain("alpha_123 must not be 0 or pi")
     (a01, a02, a03, a23, a12, h), _ = _unit(d.a01, d.a02, d.a03, d.a23, d.a12, h)
+    _divisor(a23, "a23")
+    _divisor(a12, "a12")
+    _divisor(h * sin123, "h sin(alpha_123)")
     arg = (_foot(a03, a02, a23) - _foot(a01, a02, a12) * math.cos(d.alpha_123)) / (h * sin123)
     if not abs(arg) <= 1.0 + CLAMP_SLACK:
         raise OutOfDomain(f"arccos argument {arg} out of range beyond slack")
@@ -115,13 +129,14 @@ def dihedral_alpha(d: DihedralData, h: float) -> float:
 def predict_a04p(d: DihedralData, h: float, alpha: float) -> float:
     """Distance from A0 to the stretched vertex A4' by the generalized
     cosine law; collapses to the planar cosine law at h = 0.  OutOfDomain
-    unless h is finite and not negative and alpha finite, and where the
-    radicand is negative or nan."""
+    unless h is finite and not negative and alpha finite, where a12 scales to
+    0 beside the largest length, and where the radicand is negative or nan."""
     if not 0 <= h < math.inf:
         raise OutOfDomain("height must be finite and not negative")
     if not -math.inf < alpha < math.inf:
         raise OutOfDomain("alpha must be finite")
     (a01, a02, a12, a24p, h), e = _unit(d.a01, d.a02, d.a12, d.a24p, h)
+    _divisor(a12, "a12")
     proj = _foot(a01, a02, a12) * math.cos(d.alpha_124p)
     proj += h * math.sin(d.alpha_124p) * math.cos(d.alpha_g4p - alpha)
     radicand = a02**2 + a24p**2 - 2.0 * a24p * proj
@@ -209,12 +224,20 @@ def stretch(p: PlasticityInstance) -> WeightedTetrahedron:
 
 
 def verify_invariance(p: PlasticityInstance) -> float:
-    """Re-solve the stretched tetrahedron numerically and report how far its
-    minimizer moved from a0 (should be ~0), by math.dist: the squares of a
-    displacement lose digits below 2^-511 and round to 0 below 2^-537.  The
-    re-solve starts at a0 and stops by the same rules as a cold solve, so
-    where a0 is the minimizer its first Newton step ends it, and the
-    displacement is that step's length.  It takes only the re-solve's point:
-    the objective, which weiszfeld would also report, is never computed, so
-    weights whose objective exceeds the float range still get an answer."""
-    return math.dist(p.a0, _solve_floating(stretch(p), p.a0)[0])
+    """A certified upper bound on the distance from a0 to the minimizer of
+    the stretched tetrahedron (0 up to rounding, by the paper's claim):
+    numeric._position_bound at a0, one pass over the vertices in the frame
+    scaled by a power of two (see numeric._frame), so the bound scales
+    exactly with the tetrahedron.  Nothing is re-solved: the bound is the
+    Newton step at a0 plus its truncation term, and the rounding of the
+    gradient and of the step over a lower bound on the Hessian's least
+    eigenvalue, on the decimal gradient for a heavy pair.  It computes no
+    objective, so weights whose objective exceeds the float range still get
+    an answer.  CoincidentPoints where a0 is on a stretched vertex, and
+    FtSolveError, naming the reason, where the bound cannot be formed."""
+    t = stretch(p)
+    edge, e, verts = _frame(t)
+    scale = 2.0**-e
+    x, y, z = p.a0
+    step, rounding = _position_bound(t._units[0], verts, (x * scale, y * scale, z * scale), edge)
+    return math.ldexp(step + rounding, e)

@@ -3,7 +3,7 @@ weiszfeld, stretch and verify_invariance on seeded draws, and a second one
 on heavy weight pairs, where the solver ends on the decimal gradient.
 
 A change that is meant to keep every answer (a faster constructor, kernel
-or re-solve) must keep this digest.  The draws use only the random module,
+or certificate) must keep this digest.  The draws use only the random module,
 sqrt and plain left-to-right sums: the builtin sum adds floats with
 compensation from Python 3.12 on, so draws built with it differ between
 versions.  The module needs neither numpy nor pytest, so the digest can be
@@ -29,13 +29,16 @@ from ftsolve import (
 )
 from ftsolve import numeric
 
-# the digest of the answers before the ray-stretch re-solve was made cheaper;
-# identical on CPython 3.10, 3.11, 3.12 and 3.13
-DIGEST = "a9aa059bccfe73ebcf18620975020333285e04f6193e6d2e35b8728c4111dabe"
+# the digest of the answers with verify_invariance's certified bound (every
+# classify, weiszfeld and stretch answer as before it); identical on CPython
+# 3.11 and 3.13
+DIGEST = "94dad4c51586630e8a9355104cb7ea4dda1d5da180687d785fb9261090455310"
 JITTERED, RAY_STRETCH = 400, 200
-# the heavy-pair answers when the decimal finish was a loop of its own, and
-# its passes over those draws: _visit and _gradient_wide calls (CPython 3.11)
-HEAVY_DIGEST = "4fa2ef53238a423bc2525ccf3551bf4ca3c74089ec2c6013962a83869bc8dfb9"
+# the heavy-pair answers with verify_invariance's certified bound (both
+# weiszfeld answers as before it), and the passes over those draws when the
+# decimal finish was a loop of its own: _visit and _gradient_wide calls
+# (CPython 3.11)
+HEAVY_DIGEST = "9d297984a92146c5bf5244fec5efde9411972bfd7132879bc8f3d996e209c450"
 HEAVY, HEAVY_VISITS, HEAVY_WIDES = 600, 5967, 2309
 REGULAR = (
     (-0.5, 0.0, math.sqrt(2.0) / 4.0),
@@ -97,23 +100,40 @@ def _answer(f, *args):
         return f"{type(e).__name__}: {e}"
 
 
-def answers():
-    """One line per draw: the reprs of its answers."""
+def draws():
+    """The digest's draws, in order: the vertices and weights of each
+    jittered one, then those of each ray stretch with its a0 and stretch
+    factors."""
     rng = random.Random(2014)
     for _ in range(JITTERED):
         v, _ = _jittered(rng)
-        w = [_log_uniform(rng, 0.2, 5.0) for _ in range(4)]
-        try:
-            t = WeightedTetrahedron(v, w)
-        except Exception as e:
-            yield f"{type(e).__name__}: {e}"
-            continue
-        yield f"{_answer(classify, t)} {_answer(weiszfeld, t)}"
+        yield v, [_log_uniform(rng, 0.2, 5.0) for _ in range(4)], None
     for _ in range(RAY_STRETCH):
         vertices, weights, a0, lambdas = _ray_stretch(rng)
-        t = WeightedTetrahedron(vertices, weights)
-        p = PlasticityInstance(t, a0, lambdas)
-        yield " ".join([_answer(classify, t), _answer(weiszfeld, t), _answer(stretch, p), _answer(verify_invariance, p)])
+        yield vertices, weights, (a0, lambdas)
+
+
+def ray_stretch_draws():
+    """The PlasticityInstance of each of the digest's ray stretches."""
+    for vertices, weights, stretched in draws():
+        if stretched is not None:
+            yield PlasticityInstance(WeightedTetrahedron(vertices, weights), *stretched)
+
+
+def answers():
+    """One line per draw: the reprs of its answers."""
+    for vertices, weights, stretched in draws():
+        if stretched is None:
+            try:
+                t = WeightedTetrahedron(vertices, weights)
+            except Exception as e:
+                yield f"{type(e).__name__}: {e}"
+                continue
+            yield f"{_answer(classify, t)} {_answer(weiszfeld, t)}"
+        else:
+            t = WeightedTetrahedron(vertices, weights)
+            p = PlasticityInstance(t, *stretched)
+            yield " ".join([_answer(classify, t), _answer(weiszfeld, t), _answer(stretch, p), _answer(verify_invariance, p)])
 
 
 def heavy_draws():

@@ -17,8 +17,10 @@ from ftsolve import (
     axial_distances,
     embed_regular,
     equilibrium_residual,
+    height_012,
     objective,
     solve_symmetric,
+    stationarity_defect,
 )
 from ftsolve.geom_core import _entries, _point, _positive
 
@@ -456,6 +458,58 @@ def test_numbers_beyond_the_float_range_are_refused_as_infinite(build, message):
     # float() raises OverflowError for them, which escaped bare
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def refusal(f, *args):
+    """The type and message of what f(*args) raises (None if it returns)."""
+    try:
+        f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def as_infinite(x):
+    return (math.inf if x > 0 else -math.inf) if abs(x) == HUGE else x
+
+
+# every position of a scalar argument, each as +-HUGE
+def huge_args(n):
+    return [tuple(sign * HUGE if j == i else 0.5 for j in range(n)) for i in range(n) for sign in (1, -1)]
+
+
+def huge_ids(*names):
+    return [f"{sign}{name}" for name in names for sign in ("", "-")]
+
+
+# each raised a bare OverflowError ("int too large to convert to float");
+# the records refuse such an int as infinite, and so must the scalar functions
+
+
+@pytest.mark.parametrize("args", huge_args(2), ids=huge_ids("a", "y"))
+def test_angles_at_takes_a_huge_int_as_an_infinity(args):
+    assert refusal(angles_at, *args) == refusal(angles_at, *map(as_infinite, args)) is not None
+
+
+@pytest.mark.parametrize("args", huge_args(2), ids=huge_ids("a", "y"))
+def test_axial_distances_takes_a_huge_int_as_an_infinity(args):
+    assert refusal(axial_distances, *args) == refusal(axial_distances, *map(as_infinite, args)) is not None
+
+
+@pytest.mark.parametrize("a", [HUGE, -HUGE], ids=["a", "-a"])
+def test_embed_regular_takes_a_huge_int_as_an_infinity(a):
+    assert refusal(embed_regular, a) == refusal(embed_regular, as_infinite(a)) is not None
+
+
+@pytest.mark.parametrize("y", [HUGE, -HUGE], ids=["y", "-y"])
+def test_stationarity_defect_takes_a_huge_int_as_an_infinity(y):
+    inst = SymmetricInstance(1.0, 2.5, 1.0)
+    assert refusal(stationarity_defect, inst, y) == refusal(stationarity_defect, inst, as_infinite(y)) is not None
+
+
+@pytest.mark.parametrize("args", huge_args(3), ids=huge_ids("a01", "a02", "a12"))
+def test_height_012_takes_a_huge_int_as_an_infinity(args):
+    assert refusal(height_012, *args) == refusal(height_012, *map(as_infinite, args)) is not None
 
 
 def test_largest_edge_message_measures_the_edge_without_squaring():

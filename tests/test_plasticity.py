@@ -3,10 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from bound_reference import minimizer_distance, rigorous_bound
 from mpmath import mp, mpf
+from test_axial_brackets import EDGES, RATIOS
+from test_general_floats import heavy_draws, ray_stretch_draws
 from workloads import invariance_instance
 
 from ftsolve import (
+    CoincidentPoints,
     DegenerateTriangle,
     DihedralData,
     FloatingViolated,
@@ -46,13 +50,24 @@ def make_instance(base, a0, lambdas):
 
 
 def warm_and_cold(base, a0, lambdas):
-    """How far the minimizer of the stretched tetrahedron lies from a0, as
-    verify_invariance reports it, from a re-solve started at a0, and as a
-    cold weiszfeld of it finds it, from the averages of the weighted mean.
-    At a true a0 the first Newton step ends the warm re-solve, so only the
-    cold one runs the step halvings and the decimal finish's trials."""
+    """How far the minimizer of the stretched tetrahedron lies from a0: at
+    most verify_invariance's certified bound, formed in one pass at a0, and
+    as a cold weiszfeld of it finds it, from the averages of the weighted
+    mean, with the step halvings and the decimal finish's trials."""
     p = make_instance(base, a0, lambdas)
     return verify_invariance(p), math.dist(weiszfeld(stretch(p)).point, a0)
+
+
+def assert_certified(p):
+    """verify_invariance's bound contains the 80-digit distance from a0 to
+    the minimizer of the stretched tetrahedron, and is at most 2^-44 of its
+    largest edge (the float gradient's rounding, 16 u sum(w) over the
+    Hessian's least eigenvalue, dominates it); returns the bound."""
+    t = stretch(p)
+    bound = verify_invariance(p)
+    assert minimizer_distance(t, p.a0) <= bound
+    assert bound <= 2**-44 * t.max_edge()
+    return bound
 
 
 def test_height_isoceles_reference(ref_setup):
@@ -287,8 +302,7 @@ def test_stretch_factors_must_be_positive_and_finite(ref_setup, bad):
 @pytest.mark.parametrize("lambdas", [(1, 1, 1, 2), (1, 1, 2, 2), (3, 0.5, 2, 1)])
 def test_invariance_cases(ref_setup, lambdas):
     tet, a0 = ref_setup
-    p = make_instance(tet, a0, lambdas)
-    assert verify_invariance(p) <= 2**-50 * stretch(p).max_edge()
+    assert_certified(make_instance(tet, a0, lambdas))
 
 
 def test_cross_formula_consistency_random(ref_setup):
@@ -333,93 +347,169 @@ def test_invariance_random_stretches(ref_setup):
     while checked < 30:
         p = make_instance(tet, a0, rng.uniform(0.5, 3.0, size=4))
         try:
-            edge = stretch(p).max_edge()
+            stretch(p)
         except FloatingViolated:
             continue
         checked += 1
-        assert verify_invariance(p) <= 2**-50 * edge
+        assert_certified(p)
 
 
 def test_invariance_from_the_minimizer_takes_one_pass(ref_setup, monkeypatch):
-    # the re-solve starts at a0, where the first Newton step is under the step
-    # tolerance and ends it; from the averages of the weighted mean it made
-    # 3.7 passes per re-solve on the general benchmark's inputs
+    # the bound is one pass over the vertices at a0: nothing is re-solved, so
+    # neither the solver's loop nor its pass runs, and at moderate weights the
+    # float gradient's rounding is under the step tolerance, so the decimal
+    # gradient does not run either
     tet, a0 = ref_setup
-    visit = numeric._visit
     calls = []
 
-    def counted(*args):
-        calls.append(None)
-        return visit(*args)
+    def counted(f):
+        def call(*args):
+            calls.append(f.__name__)
+            return f(*args)
 
-    monkeypatch.setattr(numeric, "_visit", counted)
+        return call
+
+    for name in ("_visit", "_solve_floating", "_gradient_wide"):
+        monkeypatch.setattr(numeric, name, counted(getattr(numeric, name)))
     for lambdas in [(1, 1, 1, 2), (1, 1, 2, 2), (3, 0.5, 2, 1)]:
-        calls.clear()
-        verify_invariance(make_instance(tet, a0, lambdas))
-        assert len(calls) == 1
+        assert verify_invariance(make_instance(tet, a0, lambdas)) > 0.0
+    assert calls == []
 
 
 def stretched_draws(n):
-    """The general benchmark's ray-stretch draws: each stretched tetrahedron,
-    its minimizer a0 and a random direction."""
+    """The general benchmark's ray-stretch draws: each one's PlasticityInstance."""
     rng = random.Random(26)
     for _ in range(n):
         it = invariance_instance(rng)
-        base = WeightedTetrahedron(it["vertices"], it["weights"])
-        yield stretch(PlasticityInstance(base, it["a0"], it["lambdas"])), it["a0"], [rng.gauss(0.0, 1.0) for _ in range(3)]
+        yield PlasticityInstance(WeightedTetrahedron(it["vertices"], it["weights"]), it["a0"], it["lambdas"])
 
 
-@pytest.mark.parametrize("reach", [0.1, 2.0], ids=["0.1 edge off", "outside the hull"])
-def test_start_off_the_minimizer_lands_on_the_cold_answer(reach):
-    # 2 edges from a0 is outside the hull, whose diameter is the largest edge
-    for t, a0, u in stretched_draws(40):
-        edge = t.max_edge()
-        off = reach * edge / math.hypot(*u)
-        warm, _, _ = numeric._solve_floating(t, [c + off * d for c, d in zip(a0, u)])
-        assert math.dist(warm, numeric._solve_floating(t)[0]) <= 2**-52 * edge
-
-
-def test_start_on_a_vertex_is_the_cold_solve():
-    # no pass can start on a vertex, so the averages of the weighted mean do
-    for t, _, _ in stretched_draws(10):
-        cold = numeric._solve_floating(t)
-        for v in t.vertices:
-            assert numeric._solve_floating(t, v) == cold
-
-
-def test_answers_from_four_starts_are_within_the_rounding_bound():
-    # the certified stop bounds Newton's truncation to 2^-53 edge, and the
-    # float gradient's rounding, up to 16 u sum(w), moves the last step by up
-    # to that over the Hessian's least eigenvalue: two answers lie within
-    # twice the sum apart.  On stretched two-pair tetrahedra, solved cold,
-    # from a0 and from 0.1 and 2 edges off it, they land up to 9.7 * 2^-52
-    # edge apart (1,500 draws), not within 2^-53 edge as was documented
-    rng = random.Random(28)
+def two_pair_draws(n, lo, hi, seed):
+    """Stretched two-pair draws: a = 1, b1 and b4 log-uniform on [lo, hi],
+    each with its closed-form a0 and stretch factors log-uniform on [0.5, 3]."""
+    rng = random.Random(seed)
 
     def log_uniform(lo, hi):
         return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
-    worst = 0.0
-    for _ in range(300):
-        inst = SymmetricInstance(1.0, log_uniform(0.2, 5.0), log_uniform(0.2, 5.0))
-        a0 = solve_symmetric(inst).point
-        t = stretch(make_instance(inst.tetrahedron(), a0, [log_uniform(0.5, 3.0) for _ in range(4)]))
+    for _ in range(n):
+        inst = SymmetricInstance(1.0, log_uniform(lo, hi), log_uniform(lo, hi))
+        lambdas = [log_uniform(0.5, 3.0) for _ in range(4)]
+        yield make_instance(inst.tetrahedron(), solve_symmetric(inst).point, lambdas)
+
+
+COLD_DRAWS = {
+    "benchmark draws": lambda: stretched_draws(40),
+    "two-pair draws": lambda: two_pair_draws(300, 0.2, 5.0, 28),
+    "heavy two-pair draws": lambda: two_pair_draws(40, 1e-3, 1e3, 29),
+}
+
+
+@pytest.mark.parametrize("draws", COLD_DRAWS.values(), ids=COLD_DRAWS.keys())
+def test_cold_answer_lies_within_the_bound_of_a0(draws):
+    # a cold solve stops within 2^-53 edge of the minimizer, plus the float
+    # gradient's rounding, up to 16 u sum(w), over the Hessian's least
+    # eigenvalue mu (see weiszfeld); the minimizer is within the bound of a0.
+    # The heavy draws, weight ratios up to 1e6, end on the decimal gradient
+    for p in draws():
+        t = stretch(p)
         edge = t.max_edge()
-        starts = [None, a0]
-        for reach in (0.1, 2.0):
-            u = [rng.gauss(0.0, 1.0) for _ in range(3)]
-            off = reach * edge / math.hypot(*u)
-            starts.append([c + off * d for c, d in zip(a0, u)])
-        answers = [numeric._solve_floating(t, start)[0] for start in starts]
-        spread = max(math.dist(p, q) for p in answers for q in answers)
-        offsets = np.asarray(a0) - np.asarray(t.vertices)
+        cold = numeric._solve_floating(t)[0]
+        offsets = np.asarray(p.a0) - np.asarray(t.vertices)
         lengths = np.linalg.norm(offsets, axis=1)
         units = offsets / lengths[:, None]
         hessian = sum(w / d * (np.eye(3) - np.outer(v, v)) for w, d, v in zip(t.weights, lengths, units))
         rounding = 16 * 2.0**-53 * sum(t.weights) / np.linalg.eigvalsh(hessian)[0]
-        assert spread <= 2.0 * (2.0**-53 * edge + rounding)
-        worst = max(worst, spread / edge)
-    assert worst <= 16 * 2.0**-52
+        assert math.dist(cold, p.a0) <= verify_invariance(p) + 2.0**-53 * edge + rounding
+
+
+def test_a0_on_a_vertex_is_refused():
+    # a stretch from a vertex leaves that vertex where it is: the stretched
+    # tetrahedron either leaves the floating case, or has a vertex at a0,
+    # where no bound can be formed
+    refused = set()
+    for p in stretched_draws(10):
+        for v in p.base.vertices:
+            with pytest.raises(FtSolveError) as e:
+                verify_invariance(PlasticityInstance(p.base, v, p.lambdas))
+            refused.add(type(e.value))
+    assert CoincidentPoints in refused
+
+
+def heavy_digest_draws():
+    for inst, lambdas in heavy_draws():
+        yield PlasticityInstance(inst.tetrahedron(), solve_symmetric(inst).point, lambdas)
+
+
+REFERENCE_DRAWS = {
+    "digest draws": ray_stretch_draws,
+    "heavy digest draws": heavy_digest_draws,
+    "benchmark draws": lambda: stretched_draws(200),
+}
+
+
+@pytest.mark.parametrize("draws", REFERENCE_DRAWS.values(), ids=REFERENCE_DRAWS.keys())
+def test_bound_contains_the_rigorous_bound_and_the_distance(draws):
+    # the bound's formula evaluated in interval arithmetic on the exact
+    # gradient and Hessian at a0 (no rounding to bound) lies below the float
+    # bound, and so does the distance to the minimizer.  With the rounding
+    # part dropped from _position_bound, the float bound fell below the
+    # rigorous one on some draws of each set
+    for p in draws():
+        t = stretch(p)
+        bound = verify_invariance(p)
+        assert rigorous_bound(t, p.a0) <= bound
+        assert minimizer_distance(t, p.a0) <= bound
+
+
+@pytest.mark.parametrize("ratio", RATIOS.values(), ids=RATIOS.keys())
+def test_closed_form_point_is_certified_as_the_3d_minimizer(ratio, monkeypatch):
+    # at lambda = 1 the bound certifies solve_symmetric's point against the
+    # 3-D problem.  The stretch rounds a0 - (a0 - A_i) to A_i or to a
+    # neighbour, so the minimizer is the stretched tetrahedron's, found at 80
+    # digits: where no vertex moved, the tetrahedron keeps its half-turn and
+    # that is the axial root.  The float gradient's rounding over mu grows
+    # with the weight ratio, to 15 times 2^-44 a (8.7e-13 a) at 10^2.75, under
+    # the step tolerance; from 10^3 on the decimal gradient takes over
+    wides = []
+    wide = numeric._gradient_wide
+    monkeypatch.setattr(numeric, "_gradient_wide", lambda *args: wides.append(None) or wide(*args))
+    for a in EDGES:
+        for b1, b4 in ((ratio, 1.0), (1.0, ratio)):
+            inst = SymmetricInstance(a, b1, b4)
+            p = PlasticityInstance(inst.tetrahedron(), solve_symmetric(inst).point, (1, 1, 1, 1))
+            t = stretch(p)
+            before = len(wides)
+            bound = verify_invariance(p)
+            assert minimizer_distance(t, p.a0) <= bound
+            if ratio >= 1e3:
+                assert len(wides) > before
+                assert bound <= 2**-50 * a
+            elif ratio <= 10**1.5:
+                assert len(wides) == before
+                assert bound <= 2**-44 * a
+            else:
+                assert bound <= numeric.STEP_TOL * a
+
+
+@pytest.mark.parametrize("draws", COLD_DRAWS.values(), ids=COLD_DRAWS.keys())
+def test_a0_moved_by_1e_9_edge_widens_the_bound_past_it(draws):
+    # at lambda = 1 the minimizer stays the base tetrahedron's, so a0 moved
+    # by 1e-9 edge is 1e-9 edge from it: the bound must say so, or refuse
+    rng = random.Random(30)
+    answered = 0
+    for p in draws():
+        edge = p.base.max_edge()
+        u = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        off = 1e-9 * edge / math.hypot(*u)
+        moved = PlasticityInstance(p.base, [c + off * d for c, d in zip(p.a0, u)], (1, 1, 1, 1))
+        try:
+            bound = verify_invariance(moved)
+        except FtSolveError:
+            continue
+        assert bound >= 1e-9 * edge
+        answered += 1
+    assert answered
 
 
 # (a, b1, b4, lambdas) of the cli benchmark's large_ratio plasticity inputs
@@ -653,6 +743,33 @@ def test_predict_a04p_refuses_a_negative_radicand():
         predict_a04p(d, 5.0, 0.0)
 
 
+TINY = 5e-324  # positive, but 0.0 once scaled beside a length of 1
+
+
+@pytest.mark.parametrize(
+    "changes, h, divisor",
+    [
+        ({"a23": TINY}, 0.5, "a23"),
+        ({"a12": TINY}, 0.5, "a12"),
+        ({}, TINY, "h sin\\(alpha_123\\)"),
+        ({"alpha_123": 1e-300}, 1e-30, "h sin\\(alpha_123\\)"),
+    ],
+    ids=["a23", "a12", "h", "h sin(alpha_123)"],
+)
+def test_dihedral_alpha_refuses_a_divisor_that_scales_to_0(changes, h, divisor):
+    # each raised a bare ZeroDivisionError: the divisor is not 0, but 0.0
+    # once the lengths are scaled by the largest
+    fields = dict(a01=1.0, a02=1.0, a03=1.0, a23=1.0, a12=1.0, a24p=1.0, alpha_123=0.5, alpha_124p=0.5, alpha_g4p=0.5)
+    with pytest.raises(OutOfDomain, match=f"^{divisor} scales to 0 beside the largest length$"):
+        dihedral_alpha(DihedralData(**{**fields, **changes}), h)
+
+
+def test_predict_a04p_refuses_an_a12_that_scales_to_0():
+    # it raised a bare ZeroDivisionError in the foot of the height
+    with pytest.raises(OutOfDomain, match="^a12 scales to 0 beside the largest length$"):
+        predict_a04p(DihedralData(1, 1, 1, 1, TINY, 1, 0.5, 0.5, 0.5), 0.5, 0.3)
+
+
 def test_dihedral_alpha_refuses_an_infinite_height():
     # inf scaled every length to 0 and gave pi/2
     with pytest.raises(OutOfDomain, match="^height must be finite$"):
@@ -698,6 +815,6 @@ def test_re_solve_whose_objective_overflows_reports_the_displacement():
     a0 = [1e10 * c for c in weiszfeld(WeightedTetrahedron(unit, [1.1, 0.7, 2.0, 1.3])).point]
     base = WeightedTetrahedron([[1e10 * c for c in p] for p in unit], [1.1e298, 0.7e298, 2.0e298, 1.3e298])
     p = PlasticityInstance(base, a0, [1.0, 1.5, 2.0, 0.8])
-    assert verify_invariance(p) <= 2.0**-50 * stretch(p).max_edge()
+    assert_certified(p)
     with pytest.raises(FtSolveError, match="^the objective exceeds the float range$"):
         weiszfeld(base)
